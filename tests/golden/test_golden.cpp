@@ -6,6 +6,10 @@
 // row per line, so a mismatch report points at the exact row and cell that
 // drifted. Any intentional change to an experiment's output must come with a
 // regenerated snapshot, which makes the diff reviewable in the PR.
+//
+// obs.json pins the stable observability JSON of the same canonical run:
+// the committed baseline every schedule (any thread count, kill + resume)
+// must reproduce byte for byte.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -32,6 +36,26 @@ std::vector<std::string> split_lines(const std::string& text) {
   std::string line;
   while (std::getline(stream, line)) lines.push_back(line);
   return lines;
+}
+
+// Declared first so that, when the binary runs every test in one process,
+// the fresh study below sees a registry no other test has touched.
+TEST(GoldenObs, FreshStudyReportMatchesSnapshot) {
+  setenv("ENCDNS_FAULTS", "off", 1);
+  StudyConfig config = StudyConfig::quick();
+  config.world.seed = 2019;
+  Study study(config);
+  const auto path = std::filesystem::path(ENCDNS_GOLDEN_DIR) / "obs.json";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing snapshot " << path
+      << " — run tools/regen_golden.sh and commit the result";
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(study.observability_report().to_json(), want.str())
+      << "obs JSON diverges from " << path
+      << "; if the change is intentional, regenerate with "
+         "tools/regen_golden.sh";
 }
 
 class GoldenTest : public ::testing::Test {
@@ -103,8 +127,8 @@ TEST_F(GoldenTest, CorpusCoversEveryExperiment) {
   // 8 tables + 13 figures + the three auxiliary experiments (doh-discovery,
   // doh-scan, local-probe): every registered experiment must have a
   // snapshot, and no stale snapshot may linger after an experiment is
-  // renamed or removed.
-  std::set<std::string> ids;
+  // renamed or removed. obs.json is the one non-experiment snapshot.
+  std::set<std::string> ids{"obs"};
   for (const auto& experiment : all_experiments()) {
     ids.insert(experiment.id);
     EXPECT_TRUE(std::filesystem::exists(

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate the golden snapshots under tests/golden/data/ after an
 # intentional change to an experiment's output. Rebuilds the study CLI,
-# rewrites every <id>.json at the canonical quick scale (seed 2019, faults
-# off — the flag forces ENCDNS_FAULTS=off itself), and shows what changed so
-# the diff can be reviewed before committing.
+# rewrites every <id>.json plus obs.json (the stable observability JSON of
+# the same run) at the canonical quick scale (seed 2019, faults off — the
+# flag forces ENCDNS_FAULTS=off itself), and shows what changed so the diff
+# can be reviewed before committing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
