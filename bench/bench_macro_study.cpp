@@ -332,8 +332,10 @@ bool check_alloc_ceilings(const std::vector<Row>& rows) {
 /// once with checkpointing off, once journaling into DIR — and requires (a)
 /// identical client counts (the journal must not perturb the phase) and (b)
 /// the journaling run to keep >= a third of the checkpoint-off throughput.
-/// Quick scale is the worst case for (b): each block-boundary save snapshots
-/// the resolver caches whole, a fixed cost the tiny phase barely amortises
+/// The journaled accessor runs as a one-node task graph, so this measures
+/// the same delta-record path a journaled study takes. Quick scale is the
+/// worst case for (b): each block-boundary save walks the resolver caches
+/// for the phase's entries, a fixed cost the tiny phase barely amortises
 /// (full scale has ~12x more clients per save). The checkpoint-OFF
 /// regression bound vs the committed baseline stays with --guard: that path
 /// must not pay for the feature at all.
@@ -568,53 +570,41 @@ std::vector<Row> run_netflow_guard(const std::string& baseline_path, bool& ok) {
   return {trend_row, validate_row};
 }
 
-/// --dag-guard: the DESIGN.md §15 schedule-invisibility contract, in-process.
-/// Runs the full quick-scale study once under the serial schedule
-/// (ENCDNS_DAG=0) and once under the task graph (ENCDNS_DAG=1) and requires
-/// (a) byte-identical observability JSON — the graph may only change wall
-/// time — and (b), when real parallelism exists, the DAG run to finish
-/// inside 90% of the serial wall time: overlapping independent phases must
-/// buy critical-path time or the scheduler is dead weight. On a single
-/// worker (b) is skipped — both schedules degenerate to the same serial
-/// loop and the comparison would measure noise.
+/// --dag-guard: the DESIGN.md §15 critical-path floor. Runs the full
+/// quick-scale study once sequentially — every canonical phase forced
+/// through its public accessor, one after another, before the report —
+/// and once as the task graph, and requires the graph run, when real
+/// parallelism exists, to finish inside 90% of the sequential wall time:
+/// overlapping independent phases must buy critical-path time or the
+/// scheduler is dead weight. On a single worker the floor is skipped — both
+/// runs degenerate to the same serial order and the comparison would
+/// measure noise. (Byte identity across thread counts and kill/resume is
+/// pinned by tests/golden/data/obs.json.)
 std::vector<Row> run_dag_guard(bool& ok) {
-  const char* prior = std::getenv("ENCDNS_DAG");
-  const std::string saved = prior == nullptr ? "" : prior;
-  const auto run = [&](const char* name, bool dag, std::string& json) {
-    ::setenv("ENCDNS_DAG", dag ? "1" : "0", 1);
+  const auto run = [](const char* name, bool sequential) {
     core::Study study(core::StudyConfig::quick());
     return run_row(name, "report_byte", [&]() -> unsigned long long {
-      json = study.observability_report().to_json();
-      return json.size();
+      if (sequential)
+        for (const auto& phase : core::canonical_phases())
+          (void)study.phase_coverage(phase);
+      return study.observability_report().to_json().size();
     });
   };
-  std::string warm_json, serial_json, dag_json;
-  (void)run("dag_warmup", false, warm_json);
-  const Row serial = run("study_serial", false, serial_json);
-  const Row dag = run("study_dag", true, dag_json);
-  if (prior == nullptr)
-    ::unsetenv("ENCDNS_DAG");
-  else
-    ::setenv("ENCDNS_DAG", saved.c_str(), 1);
+  (void)run("dag_warmup", true);
+  const Row sequential = run("study_sequential", true);
+  const Row graph = run("study_dag", false);
 
   ok = true;
-  if (serial_json != dag_json) {
-    std::fprintf(stderr,
-                 "dag-guard: serial and task-graph reports differ (%zu vs "
-                 "%zu bytes) — the schedule leaked into the results\n",
-                 serial_json.size(), dag_json.size());
-    ok = false;
-  }
   if (!exec::parallelism_available()) {
     std::printf("dag-guard: single worker — critical-path floor skipped\n");
-  } else if (dag.seconds > 0.9 * serial.seconds) {
+  } else if (graph.seconds > 0.9 * sequential.seconds) {
     std::fprintf(stderr,
-                 "dag-guard: task graph too slow (%.3f s vs serial %.3f s; "
-                 "floor is 0.9x)\n",
-                 dag.seconds, serial.seconds);
+                 "dag-guard: task graph too slow (%.3f s vs sequential %.3f "
+                 "s; floor is 0.9x)\n",
+                 graph.seconds, sequential.seconds);
     ok = false;
   }
-  return {serial, dag};
+  return {sequential, graph};
 }
 
 bool check_guard(const std::string& baseline_path,

@@ -213,17 +213,6 @@ void DnsCache::clear() {
   }
 }
 
-std::vector<ExportedEntry> DnsCache::export_entries() const {
-  std::vector<ExportedEntry> out;
-  out.reserve(size());
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const Entry& entry : shard->lru)
-      out.push_back(ExportedEntry{entry.key, entry.answer, entry.expiry_s});
-  }
-  return out;
-}
-
 std::vector<ExportedEntry> DnsCache::export_entries(const void* owner) const {
   std::vector<ExportedEntry> out;
   for (const auto& shard : shards_) {
@@ -233,18 +222,6 @@ std::vector<ExportedEntry> DnsCache::export_entries(const void* owner) const {
         out.push_back(ExportedEntry{entry.key, entry.answer, entry.expiry_s});
   }
   return out;
-}
-
-void DnsCache::restore_entries(const std::vector<ExportedEntry>& entries) {
-  clear();
-  // Entries arrive most-recent first per shard, so appending to the back of
-  // each shard's list reproduces the exported LRU order exactly.
-  for (const auto& entry : entries) {
-    Shard& shard = shard_for(entry.key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.push_back(Entry{entry.key, entry.answer, entry.expiry_s});
-    shard.index[entry.key] = std::prev(shard.lru.end());
-  }
 }
 
 void DnsCache::merge_entries(const std::vector<ExportedEntry>& entries) {

@@ -167,24 +167,14 @@ class DnsCache {
 
   void clear();
 
-  /// Checkpoint export (DESIGN.md §13): every entry, shard-by-shard in index
-  /// order and most-recently-used first within each shard. Deterministic for
-  /// a fixed operation history; tallies are not included (the study restores
-  /// those separately).
-  [[nodiscard]] std::vector<ExportedEntry> export_entries() const;
-
-  /// Owner-filtered export (task-graph checkpointing, DESIGN.md §15): only
-  /// the entries whose last store happened under the attribution token
+  /// Checkpoint export (DESIGN.md §13, §15): shard by shard in index order,
+  /// most-recently-used first, only the entries whose last store happened
+  /// under the attribution token
   /// `owner` (the storing thread's obs::current_tally() pointer). Under
   /// phase overlap a full-contents capture is polluted by concurrent
   /// phases' stores; each phase's record must carry its own stores only.
   [[nodiscard]] std::vector<ExportedEntry> export_entries(
       const void* owner) const;
-
-  /// Checkpoint restore: replace the contents with `entries`, reproducing
-  /// the per-shard LRU order export_entries() emitted. Requires the same
-  /// shard configuration as the exporting cache; tallies are untouched.
-  void restore_entries(const std::vector<ExportedEntry>& entries);
 
   /// Additive restore for owner-filtered captures: existing keys refresh in
   /// place (keeping their LRU position), new keys append least-recent in

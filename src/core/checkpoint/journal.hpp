@@ -42,7 +42,9 @@ class JournalError : public std::runtime_error {
 
 class Journal {
  public:
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2 since the absolute-snapshot record family was retired: a version-1
+  /// journal fails closed instead of half-loading records nothing decodes.
+  static constexpr std::uint32_t kVersion = 2;
 
   /// Open `dir`'s journal. resume=false starts fresh (truncating any prior
   /// journal); resume=true validates and loads the committed records, then

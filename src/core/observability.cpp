@@ -1,7 +1,6 @@
-// Study-level observability: drives the paper phases — serially under one
-// PhaseProfiler, or as a dependency graph (exec::TaskGraph, DESIGN.md §15)
-// with per-phase PhaseTally deltas — and assembles the ObservabilityReport
-// (DESIGN.md §9). Both schedules produce byte-identical reports.
+// Study-level observability: drives the paper phases as one dependency graph
+// (exec::TaskGraph, DESIGN.md §15) with per-phase PhaseTally deltas, and
+// assembles the ObservabilityReport (DESIGN.md §9).
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -32,63 +31,6 @@ void Study::run_certs_analysis() {
       registry.counter("certs.expired").add(1);
   }
 }
-
-const ObservabilityReport& Study::observability_report() {
-  if (obs_report_) return *obs_report_;
-  if (dag_enabled()) return observability_report_dag();
-
-  // On a fresh Study the registry starts from zero so the report (and its
-  // JSON) is a pure function of the config. If the caller already forced
-  // experiments, their metrics must survive — skip the reset and leave those
-  // contributions outside any phase.
-  const bool fresh = !scans_ && !doh_discovery_ && !doh_scan_ &&
-                     !local_probe_ && !reach_global_ && !reach_cn_ &&
-                     !performance_ && !no_reuse_ && !netflow_ &&
-                     !netflow_trend_ && !passive_dns_;
-  if (fresh) obs::MetricsRegistry::global().reset();
-
-  obs::PhaseProfiler profiler;
-
-  profiler.begin("scan");
-  (void)scans();
-  (void)doh_discovery();
-  (void)doh_scan();
-  (void)local_probe();
-  profiler.end();
-
-  profiler.begin("certs");
-  run_certs_analysis();
-  profiler.end();
-
-  profiler.begin("reachability");
-  (void)reachability_global();
-  (void)reachability_cn();
-  profiler.end();
-
-  profiler.begin("performance");
-  (void)performance();
-  (void)no_reuse();
-  profiler.end();
-
-  profiler.begin("netflow");
-  (void)netflow();
-  (void)netflow_trend();
-  profiler.end();
-
-  profiler.begin("passive_dns");
-  (void)passive_dns();
-  profiler.end();
-
-  ObservabilityReport report;
-  report.metrics = obs::MetricsRegistry::global().snapshot();
-  report.phases = profiler.records();
-  report.robustness = robustness_report();
-  report.data_quality = data_quality_report();
-  obs_report_ = std::move(report);
-  return *obs_report_;
-}
-
-// --- task-graph schedule ----------------------------------------------------
 
 void Study::force_phase(const std::string& phase) {
   if (phase == "scan_campaign") {
@@ -124,7 +66,7 @@ void Study::run_phase_node(const std::string& phase) {
   {
     std::lock_guard<std::mutex> lock(dag_mutex_);
     if (phase_deltas_.find(phase) != phase_deltas_.end())
-      return;  // loaded from the journal in the resume prologue
+      return;  // loaded from the journal, or forced earlier
   }
   obs::PhaseTally tally;
   const auto start = std::chrono::steady_clock::now();
@@ -157,46 +99,69 @@ void Study::commit_phase_node(const std::string& phase) {
   checkpoint_->commit_phase_delta(phase, pending.state, pending.cursor, delta);
 }
 
-void Study::dag_resume_prologue() {
-  // Re-register the killed run's metric names first: phases loaded below
-  // never execute the code that registers their zero-valued metrics, and
-  // delta records skip zeros, so without the skeleton those names would be
-  // missing from the resumed snapshot.
-  if (auto skeleton = checkpoint_->load_skeleton())
-    obs::MetricsRegistry::global().register_skeleton(*skeleton);
+void Study::run_graph(exec::TaskGraph& graph) {
+  // One pool for every phase: ready nodes from different phases interleave
+  // their shards in its queue (DESIGN.md §15).
+  exec::WorkerPool pool(config_.thread_count);
+  shared_pool_ = &pool;
+  try {
+    graph.run();
+  } catch (...) {
+    shared_pool_ = nullptr;
+    throw;
+  }
+  shared_pool_ = nullptr;
+}
+
+bool Study::load_committed_phase(const std::string& phase) {
+  auto loaded = checkpoint_->load_phase_delta(phase);
+  if (!loaded) return false;
+  decode_phase_state(phase, loaded->state);
+  restore_owned_cursor(phase, loaded->cursor);
+  // Additive replay — records are position-independent, so phases that
+  // committed out of canonical order at the kill still land exactly.
+  obs::MetricsRegistry::global().apply_delta(loaded->delta);
+  std::lock_guard<std::mutex> lock(dag_mutex_);
+  phase_deltas_[phase] = std::move(loaded->delta);
+  return true;
+}
+
+bool Study::run_journaled_outside_graph(const std::string& phase) {
+  if (!checkpoint_ || shared_pool_ != nullptr) return false;
+  if (load_committed_phase(phase)) return true;
+  exec::TaskGraph graph;
+  (void)graph.add(
+      phase, [this, &phase] { run_phase_node(phase); },
+      [this, &phase] { commit_phase_node(phase); });
+  run_graph(graph);
+  return true;
+}
+
+void Study::resume_prologue() {
   for (const auto& phase : canonical_phases()) {
-    if (auto loaded = checkpoint_->load_phase_delta(phase)) {
-      decode_phase_state(phase, loaded->state);
-      restore_owned_cursor(phase, loaded->cursor);
-      // Additive replay — records are position-independent, so phases that
-      // committed out of canonical order at the kill still land exactly.
-      obs::MetricsRegistry::global().apply_delta(loaded->delta);
+    {
       std::lock_guard<std::mutex> lock(dag_mutex_);
-      phase_deltas_[phase] = std::move(loaded->delta);
-    } else if (checkpoint_->load_partial_delta(phase)) {
-      // Mid-flight at the kill: finish it here, serially, before the graph
-      // starts — its cache restore must not interleave with live phases.
-      // The accessor picks up the partial via the delta hook; the graph's
-      // merge slot journals the full record like any other phase.
-      run_phase_node(phase);
+      if (phase_deltas_.count(phase) != 0) continue;  // forced earlier
     }
+    if (load_committed_phase(phase)) continue;
+    // Mid-flight at the kill: finish it here, before the graph starts. The
+    // accessor runs it as a one-node graph, picking up the partial via the
+    // checkpoint hook.
+    if (checkpoint_->load_partial_delta(phase)) force_phase(phase);
   }
 }
 
-const ObservabilityReport& Study::observability_report_dag() {
+const ObservabilityReport& Study::observability_report() {
+  if (obs_report_) return *obs_report_;
+  // On a fresh Study the registry starts from zero so the report (and its
+  // JSON) is a pure function of the config. If the caller already forced
+  // experiments, their metrics must survive — skip the reset.
   const bool fresh = !scans_ && !doh_discovery_ && !doh_scan_ &&
                      !local_probe_ && !reach_global_ && !reach_cn_ &&
                      !performance_ && !no_reuse_ && !netflow_ &&
                      !netflow_trend_ && !passive_dns_;
   if (fresh) obs::MetricsRegistry::global().reset();
-
-  graph_mode_ = true;
-  if (checkpoint_) dag_resume_prologue();
-
-  // One pool for every phase: ready nodes from different phases interleave
-  // their shards in its queue (DESIGN.md §15).
-  exec::WorkerPool pool(config_.thread_count);
-  shared_pool_ = &pool;
+  if (checkpoint_) resume_prologue();
 
   exec::TaskGraph graph;
   const auto body = [this](const char* phase) {
@@ -230,21 +195,13 @@ const ObservabilityReport& Study::observability_report_dag() {
   (void)graph.add("netflow_trend", body("netflow_trend"),
                   merge("netflow_trend"));
   (void)graph.add("passive_dns", body("passive_dns"), merge("passive_dns"));
-  try {
-    graph.run();
-  } catch (...) {
-    shared_pool_ = nullptr;
-    graph_mode_ = false;
-    throw;
-  }
-  shared_pool_ = nullptr;
-  graph_mode_ = false;
+  run_graph(graph);
 
   ObservabilityReport report;
   report.metrics = obs::MetricsRegistry::global().snapshot();
 
-  // Fold the node deltas into the serial schedule's six phase records, in
-  // its order — the report is byte-identical either way.
+  // Fold the node deltas into the report's six phase records (the paper's
+  // section order).
   struct Group {
     const char* name;
     std::vector<const char*> members;

@@ -71,6 +71,12 @@ Study::Study(StudyConfig config) : config_(std::move(config)) {
 void Study::enable_checkpoint(const std::string& dir, bool resume) {
   checkpoint_ =
       std::make_unique<StudyCheckpoint>(dir, config_fingerprint(), resume);
+  // Re-register the killed run's metric names: phases loaded from the
+  // journal never execute the code that registers their zero-valued
+  // metrics, and delta records skip zeros, so without the skeleton those
+  // names would be missing from the resumed snapshot.
+  if (auto skeleton = checkpoint_->load_skeleton())
+    obs::MetricsRegistry::global().register_skeleton(*skeleton);
 }
 
 void Study::set_deadline(double seconds) {
@@ -172,28 +178,14 @@ std::uint64_t Study::config_fingerprint() const {
   w.f64(pd.aggregate_coverage_factor);
   // The fault and cache environment overrides change World behavior at
   // construction, so their raw strings are part of the fingerprint.
-  // ENCDNS_DAG rides along too: serial and task-graph journals use different
-  // record families, so a journal written under one schedule must refuse to
-  // resume under the other.
   for (const char* name : {"ENCDNS_FAULTS", "ENCDNS_CACHE_ENTRIES",
                            "ENCDNS_CACHE_NEG_TTL", "ENCDNS_CACHE_SERVE_STALE",
-                           "ENCDNS_DAG", "ENCDNS_NETFLOW_SCALE",
-                           "ENCDNS_HLL_PRECISION"}) {
+                           "ENCDNS_NETFLOW_SCALE", "ENCDNS_HLL_PRECISION"}) {
     const auto value = util::env_string(name);
     w.boolean(value.has_value());
     w.str(value.value_or(""));
   }
   return util::fnv1a_bytes(w.data().data(), w.size(), util::kFnv1aBasis);
-}
-
-bool Study::dag_enabled() {
-  const auto value = util::env_string("ENCDNS_DAG");
-  if (!value || *value == "1" || *value == "on" || *value == "true")
-    return true;
-  if (*value == "0" || *value == "off" || *value == "false") return false;
-  throw util::EnvError("ENCDNS_DAG=\"" + *value +
-                       "\": expected 1/on/true (task graph) or 0/off/false "
-                       "(serial fallback)");
 }
 
 exec::CancelToken* Study::phase_cancel(const char* env_name,
@@ -221,46 +213,6 @@ exec::CancelToken* Study::phase_cancel(const char* env_name,
       slot->set_wall_budget(parsed);
   }
   return &*slot;
-}
-
-WorldCursor Study::capture_cursor() const {
-  return WorldCursor{global_platform_->cursor(), cn_platform_->cursor(),
-                     cumulative_cache_tally(),
-                     world_->export_resolver_caches()};
-}
-
-world::World::ResolverCacheTally Study::cumulative_cache_tally() const {
-  const auto live = world_->resolver_cache_tally();
-  world::World::ResolverCacheTally total;
-  total.hits = tally_baseline_.hits + live.hits;
-  total.misses = tally_baseline_.misses + live.misses;
-  total.stale_served = tally_baseline_.stale_served + live.stale_served;
-  total.upstream_faults = tally_baseline_.upstream_faults + live.upstream_faults;
-  total.evictions = tally_baseline_.evictions + live.evictions;
-  total.entries = tally_baseline_.entries + live.entries;
-  return total;
-}
-
-void Study::restore_cursor(const WorldCursor& cursor) {
-  global_platform_->restore_cursor(cursor.global_platform);
-  cn_platform_->restore_cursor(cursor.cn_platform);
-  // Cache contents first (they change the live `entries` reading), then
-  // rebase the cache-tally baseline so the cumulative tally equals the
-  // stored cursor right now and tracks the live increments from here on.
-  world_->restore_resolver_caches(cursor.caches);
-  const auto live = world_->resolver_cache_tally();
-  const auto rebase = [](std::uint64_t stored, std::uint64_t current) {
-    return stored >= current ? stored - current : 0;
-  };
-  tally_baseline_.hits = rebase(cursor.cache_tally.hits, live.hits);
-  tally_baseline_.misses = rebase(cursor.cache_tally.misses, live.misses);
-  tally_baseline_.stale_served =
-      rebase(cursor.cache_tally.stale_served, live.stale_served);
-  tally_baseline_.upstream_faults =
-      rebase(cursor.cache_tally.upstream_faults, live.upstream_faults);
-  tally_baseline_.evictions =
-      rebase(cursor.cache_tally.evictions, live.evictions);
-  tally_baseline_.entries = rebase(cursor.cache_tally.entries, live.entries);
 }
 
 namespace {
@@ -292,7 +244,6 @@ WorldCursor Study::capture_owned_cursor(const std::string& phase) const {
     case OwnedPlatform::kNone:
       break;
   }
-  cursor.cache_tally = cumulative_cache_tally();
   // Only the entries this phase stored (attributed by its PhaseTally — the
   // accessors call this under the node's ScopedTally): a full-contents
   // capture under overlap would carry concurrent phases' half-done stores,
@@ -314,18 +265,32 @@ void Study::restore_owned_cursor(const std::string& phase,
     case OwnedPlatform::kNone:
       break;
   }
-  // No tally rebase here: graph-mode robustness reads the resolver.upstream
-  // counters, which travel in the delta records instead of the cursor.
   // Merge, don't replace: the record carries only this phase's own stores,
   // and everything already in cache (bootstrap seeds, other loaded phases'
   // entries) must survive.
   world_->merge_resolver_caches(cursor.caches);
 }
 
-void Study::stash_commit(const std::string& phase,
-                         std::vector<std::uint8_t> state) {
+std::unique_ptr<exec::CheckpointHook> Study::phase_checkpoint(
+    const std::string& phase) {
+  if (!checkpoint_) return nullptr;
+  WorldCursor pre = capture_owned_cursor(phase);
+  if (auto partial = checkpoint_->load_partial_delta(phase)) {
+    restore_owned_cursor(phase, partial->cursor);
+    pre = std::move(partial->cursor);
+  }
+  return checkpoint_->phase_delta_hook(
+      phase, pre, [this, phase] { return capture_owned_cursor(phase); });
+}
+
+template <typename T>
+void Study::stash_commit(const std::string& phase, const T& results,
+                         void (*encode)(util::ByteWriter&, const T&)) {
+  if (!checkpoint_) return;
+  util::ByteWriter w;
+  encode(w, results);
   PendingCommit pending;
-  pending.state = std::move(state);
+  pending.state = w.take();
   pending.cursor = capture_owned_cursor(phase);
   std::lock_guard<std::mutex> lock(dag_mutex_);
   pending_commits_[phase] = std::move(pending);
@@ -363,91 +328,31 @@ void Study::decode_phase_state(const std::string& phase,
 }
 
 const std::vector<scan::ScanSnapshot>& Study::scans() {
-  if (scans_) return *scans_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("scan_campaign")) {
-      util::ByteReader r(loaded->state);
-      scans_ = scan::decode_snapshots(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *scans_;
-    }
-  }
+  if (scans_ || run_journaled_outside_graph("scan_campaign")) return *scans_;
   scan::CampaignConfig cfg = config_.campaign;
   cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_SCAN", scan_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("scan_campaign");
-      if (auto partial = checkpoint_->load_partial_delta("scan_campaign")) {
-        restore_owned_cursor("scan_campaign", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "scan_campaign", pre,
-          [this] { return capture_owned_cursor("scan_campaign"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("scan_campaign")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("scan_campaign", pre,
-                                     [this] { return capture_cursor(); });
-    }
-    cfg.checkpoint = hook.get();
-  }
+  const auto hook = phase_checkpoint("scan_campaign");
+  cfg.checkpoint = hook.get();
   scan::Scanner scanner(*world_, cfg);
   scans_ = scanner.run_campaign();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    scan::encode_snapshots(w, *scans_);
-    if (graph_mode_)
-      stash_commit("scan_campaign", w.take());
-    else
-      checkpoint_->commit_phase("scan_campaign", w.take(), capture_cursor());
-  }
+  stash_commit("scan_campaign", *scans_, scan::encode_snapshots);
   return *scans_;
 }
 
 const scan::DohDiscovery& Study::doh_discovery() {
-  if (doh_discovery_) return *doh_discovery_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("doh_discovery")) {
-      util::ByteReader r(loaded->state);
-      doh_discovery_ = scan::decode_doh_discovery(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *doh_discovery_;
-    }
-  }
+  if (doh_discovery_ || run_journaled_outside_graph("doh_discovery"))
+    return *doh_discovery_;
   scan::DohProber prober(*world_, world_->make_clean_vantage("US"),
                          config_.campaign.seed ^ 0xD0DULL);
   doh_discovery_ =
       prober.discover(world_->url_dataset(), config_.campaign.start.plus_days(30));
-  if (checkpoint_) {
-    util::ByteWriter w;
-    scan::encode_doh_discovery(w, *doh_discovery_);
-    if (graph_mode_)
-      stash_commit("doh_discovery", w.take());
-    else
-      checkpoint_->commit_phase("doh_discovery", w.take(), capture_cursor());
-  }
+  stash_commit("doh_discovery", *doh_discovery_, scan::encode_doh_discovery);
   return *doh_discovery_;
 }
 
 const scan::DohScanResult& Study::doh_scan() {
-  if (doh_scan_) return *doh_scan_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("doh_scan")) {
-      util::ByteReader r(loaded->state);
-      doh_scan_ = scan::decode_doh_scan(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *doh_scan_;
-    }
-  }
+  if (doh_scan_ || run_journaled_outside_graph("doh_scan")) return *doh_scan_;
   scan::DohScanConfig cfg;
   cfg.seed = config_.campaign.seed ^ 0xED0ULL;
   cfg.thread_count = config_.thread_count;
@@ -464,101 +369,36 @@ const scan::DohScanResult& Study::doh_scan() {
   cfg.cancel = phase_cancel(budget_env, doh_scan_cancel_);
   doh_scan_ =
       scan::run_doh_scan(*world_, cfg, config_.campaign.start.plus_days(60));
-  if (checkpoint_) {
-    util::ByteWriter w;
-    scan::encode_doh_scan(w, *doh_scan_);
-    if (graph_mode_)
-      stash_commit("doh_scan", w.take());
-    else
-      checkpoint_->commit_phase("doh_scan", w.take(), capture_cursor());
-  }
+  stash_commit("doh_scan", *doh_scan_, scan::encode_doh_scan);
   return *doh_scan_;
 }
 
 const measure::LocalProbeResults& Study::local_probe() {
-  if (local_probe_) return *local_probe_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("local_probe")) {
-      util::ByteReader r(loaded->state);
-      local_probe_ = measure::decode_local_probe(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *local_probe_;
-    }
-  }
+  if (local_probe_ || run_journaled_outside_graph("local_probe"))
+    return *local_probe_;
   local_probe_ = measure::run_local_resolver_probe(*world_, config_.local_probe);
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_local_probe(w, *local_probe_);
-    if (graph_mode_)
-      stash_commit("local_probe", w.take());
-    else
-      checkpoint_->commit_phase("local_probe", w.take(), capture_cursor());
-  }
+  stash_commit("local_probe", *local_probe_, measure::encode_local_probe);
   return *local_probe_;
 }
 
 const measure::ReachabilityResults& Study::reachability_global() {
-  if (reach_global_) return *reach_global_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("reachability_global")) {
-      util::ByteReader r(loaded->state);
-      reach_global_ = measure::decode_reachability(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *reach_global_;
-    }
-  }
+  if (reach_global_ || run_journaled_outside_graph("reachability_global"))
+    return *reach_global_;
   measure::ReachabilityConfig cfg = config_.reachability_global;
   cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("reachability_global");
-      if (auto partial = checkpoint_->load_partial_delta("reachability_global")) {
-        restore_owned_cursor("reachability_global", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "reachability_global", pre,
-          [this] { return capture_owned_cursor("reachability_global"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("reachability_global")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("reachability_global", pre,
-                                     [this] { return capture_cursor(); });
-    }
-    cfg.checkpoint = hook.get();
-  }
+  const auto hook = phase_checkpoint("reachability_global");
+  cfg.checkpoint = hook.get();
   measure::ReachabilityTest test(*world_, *global_platform_, cfg);
   reach_global_ = test.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_reachability(w, *reach_global_);
-    if (graph_mode_)
-      stash_commit("reachability_global", w.take());
-    else
-      checkpoint_->commit_phase("reachability_global", w.take(),
-                                capture_cursor());
-  }
+  stash_commit("reachability_global", *reach_global_,
+               measure::encode_reachability);
   return *reach_global_;
 }
 
 const measure::ReachabilityResults& Study::reachability_cn() {
-  if (reach_cn_) return *reach_cn_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("reachability_cn")) {
-      util::ByteReader r(loaded->state);
-      reach_cn_ = measure::decode_reachability(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *reach_cn_;
-    }
-  }
+  if (reach_cn_ || run_journaled_outside_graph("reachability_cn"))
+    return *reach_cn_;
   measure::ReachabilityConfig cfg = config_.reachability_cn;
   // Both reachability runs share one token: ENCDNS_DEADLINE_REACH is a
   // combined budget for the global and censored platforms together. (The
@@ -566,172 +406,51 @@ const measure::ReachabilityResults& Study::reachability_cn() {
   // reachability_global — so the shared slot is never raced.)
   cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("reachability_cn");
-      if (auto partial = checkpoint_->load_partial_delta("reachability_cn")) {
-        restore_owned_cursor("reachability_cn", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "reachability_cn", pre,
-          [this] { return capture_owned_cursor("reachability_cn"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("reachability_cn")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("reachability_cn", pre,
-                                     [this] { return capture_cursor(); });
-    }
-    cfg.checkpoint = hook.get();
-  }
+  const auto hook = phase_checkpoint("reachability_cn");
+  cfg.checkpoint = hook.get();
   measure::ReachabilityTest test(*world_, *cn_platform_, cfg);
   reach_cn_ = test.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_reachability(w, *reach_cn_);
-    if (graph_mode_)
-      stash_commit("reachability_cn", w.take());
-    else
-      checkpoint_->commit_phase("reachability_cn", w.take(), capture_cursor());
-  }
+  stash_commit("reachability_cn", *reach_cn_, measure::encode_reachability);
   return *reach_cn_;
 }
 
 const measure::PerformanceResults& Study::performance() {
-  if (performance_) return *performance_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("performance")) {
-      util::ByteReader r(loaded->state);
-      performance_ = measure::decode_performance(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *performance_;
-    }
-  }
+  if (performance_ || run_journaled_outside_graph("performance"))
+    return *performance_;
   measure::PerformanceConfig cfg = config_.performance;
   cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_PERF", perf_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("performance");
-      if (auto partial = checkpoint_->load_partial_delta("performance")) {
-        restore_owned_cursor("performance", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "performance", pre,
-          [this] { return capture_owned_cursor("performance"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("performance")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("performance", pre,
-                                     [this] { return capture_cursor(); });
-    }
-    cfg.checkpoint = hook.get();
-  }
+  const auto hook = phase_checkpoint("performance");
+  cfg.checkpoint = hook.get();
   measure::PerformanceTest test(*world_, *global_platform_, cfg);
   performance_ = test.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_performance(w, *performance_);
-    if (graph_mode_)
-      stash_commit("performance", w.take());
-    else
-      checkpoint_->commit_phase("performance", w.take(), capture_cursor());
-  }
+  stash_commit("performance", *performance_, measure::encode_performance);
   return *performance_;
 }
 
 const std::vector<measure::NoReuseRow>& Study::no_reuse() {
-  if (no_reuse_) return *no_reuse_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("no_reuse")) {
-      util::ByteReader r(loaded->state);
-      no_reuse_ = measure::decode_no_reuse(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *no_reuse_;
-    }
-  }
+  if (no_reuse_ || run_journaled_outside_graph("no_reuse")) return *no_reuse_;
   no_reuse_ = measure::run_no_reuse_test(*world_, config_.no_reuse);
-  if (checkpoint_) {
-    util::ByteWriter w;
-    measure::encode_no_reuse(w, *no_reuse_);
-    if (graph_mode_)
-      stash_commit("no_reuse", w.take());
-    else
-      checkpoint_->commit_phase("no_reuse", w.take(), capture_cursor());
-  }
+  stash_commit("no_reuse", *no_reuse_, measure::encode_no_reuse);
   return *no_reuse_;
 }
 
 const traffic::NetflowStudyResults& Study::netflow() {
-  if (netflow_) return *netflow_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("netflow")) {
-      util::ByteReader r(loaded->state);
-      netflow_ = traffic::decode_netflow_results(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *netflow_;
-    }
-  }
+  if (netflow_ || run_journaled_outside_graph("netflow")) return *netflow_;
   traffic::NetflowStudyConfig cfg = config_.netflow;
   cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_NETFLOW", netflow_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("netflow");
-      if (auto partial = checkpoint_->load_partial_delta("netflow")) {
-        restore_owned_cursor("netflow", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook(
-          "netflow", pre, [this] { return capture_owned_cursor("netflow"); });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("netflow")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("netflow", pre,
-                                     [this] { return capture_cursor(); });
-    }
-    cfg.checkpoint = hook.get();
-  }
+  const auto hook = phase_checkpoint("netflow");
+  cfg.checkpoint = hook.get();
   traffic::NetflowStudy study(cfg, traffic::big_resolver_address_list());
   netflow_ = study.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    traffic::encode_netflow_results(w, *netflow_);
-    if (graph_mode_)
-      stash_commit("netflow", w.take());
-    else
-      checkpoint_->commit_phase("netflow", w.take(), capture_cursor());
-  }
+  stash_commit("netflow", *netflow_, traffic::encode_netflow_results);
   return *netflow_;
 }
 
 const traffic::TrendStudyResults& Study::netflow_trend() {
-  if (netflow_trend_) return *netflow_trend_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("netflow_trend")) {
-      util::ByteReader r(loaded->state);
-      netflow_trend_ = traffic::decode_trend_results(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *netflow_trend_;
-    }
-  }
+  if (netflow_trend_ || run_journaled_outside_graph("netflow_trend"))
+    return *netflow_trend_;
   traffic::TrendStudyConfig cfg = config_.trend;
   cfg.pool = shared_pool_;
   // ENCDNS_NETFLOW_SCALE multiplies the configured scale (quick() runs at
@@ -762,61 +481,19 @@ const traffic::TrendStudyResults& Study::netflow_trend() {
                                ? "ENCDNS_DEADLINE_NETFLOW_TREND"
                                : "ENCDNS_DEADLINE_NETFLOW";
   cfg.cancel = phase_cancel(budget_env, netflow_trend_cancel_);
-  std::unique_ptr<exec::CheckpointHook> hook;
-  if (checkpoint_) {
-    if (graph_mode_) {
-      WorldCursor pre = capture_owned_cursor("netflow_trend");
-      if (auto partial = checkpoint_->load_partial_delta("netflow_trend")) {
-        restore_owned_cursor("netflow_trend", partial->cursor);
-        pre = std::move(partial->cursor);
-      }
-      hook = checkpoint_->phase_delta_hook("netflow_trend", pre, [this] {
-        return capture_owned_cursor("netflow_trend");
-      });
-    } else {
-      WorldCursor pre = capture_cursor();
-      if (auto rewound = checkpoint_->partial_pre_cursor("netflow_trend")) {
-        restore_cursor(*rewound);
-        pre = *rewound;
-      }
-      hook = checkpoint_->phase_hook("netflow_trend", pre,
-                                     [this] { return capture_cursor(); });
-    }
-    cfg.checkpoint = hook.get();
-  }
+  const auto hook = phase_checkpoint("netflow_trend");
+  cfg.checkpoint = hook.get();
   traffic::TrendStudy study(cfg);
   netflow_trend_ = study.run();
-  if (checkpoint_) {
-    util::ByteWriter w;
-    traffic::encode_trend_results(w, *netflow_trend_);
-    if (graph_mode_)
-      stash_commit("netflow_trend", w.take());
-    else
-      checkpoint_->commit_phase("netflow_trend", w.take(), capture_cursor());
-  }
+  stash_commit("netflow_trend", *netflow_trend_, traffic::encode_trend_results);
   return *netflow_trend_;
 }
 
 const traffic::PassiveDnsStudyResults& Study::passive_dns() {
-  if (passive_dns_) return *passive_dns_;
-  if (checkpoint_ && !graph_mode_) {
-    if (auto loaded = checkpoint_->load_phase("passive_dns")) {
-      util::ByteReader r(loaded->state);
-      passive_dns_ = traffic::decode_passive_dns(r);
-      r.expect_done();
-      restore_cursor(loaded->cursor);
-      return *passive_dns_;
-    }
-  }
+  if (passive_dns_ || run_journaled_outside_graph("passive_dns"))
+    return *passive_dns_;
   passive_dns_ = traffic::run_passive_dns_study(config_.passive_dns);
-  if (checkpoint_) {
-    util::ByteWriter w;
-    traffic::encode_passive_dns(w, *passive_dns_);
-    if (graph_mode_)
-      stash_commit("passive_dns", w.take());
-    else
-      checkpoint_->commit_phase("passive_dns", w.take(), capture_cursor());
-  }
+  stash_commit("passive_dns", *passive_dns_, traffic::encode_passive_dns);
   return *passive_dns_;
 }
 
@@ -833,11 +510,11 @@ fault::RobustnessReport Study::robustness_report() {
   report.scanner += doh_scan().faults;
   // Resolver layer: upstream recursion faults drawn inside the backends,
   // recovered when an RFC 8767 stale answer covered for the failure. After a
-  // task-graph run the resolver.upstream counters are the source of truth —
-  // they are 1:1 with the World tally on a live run and, unlike it, survive
-  // a delta-based resume (the deltas replay them; the World starts cold).
-  // The serial path keeps the cumulative tally, whose baseline the absolute
-  // cursor restore rebases.
+  // graph run the resolver.upstream counters are the source of truth — they
+  // are 1:1 with the World tally on a live run and, unlike it, survive a
+  // resume (the deltas replay them; the World starts cold). A study that
+  // never ran a graph reads the World tally: the process-wide registry may
+  // also hold other studies' counts.
   bool delta_based;
   {
     std::lock_guard<std::mutex> lock(dag_mutex_);
@@ -851,15 +528,13 @@ fault::RobustnessReport Study::robustness_report() {
     report.resolver.injected = registry.counter_value("resolver.upstream.fault");
     report.resolver.recovered =
         registry.counter_value("resolver.upstream.stale_served");
-    report.resolver.surfaced =
-        report.resolver.injected - report.resolver.recovered;
   } else {
-    const auto cache_tally = cumulative_cache_tally();
+    const auto cache_tally = world_->resolver_cache_tally();
     report.resolver.injected = cache_tally.upstream_faults;
     report.resolver.recovered = cache_tally.stale_served;
-    report.resolver.surfaced =
-        cache_tally.upstream_faults - cache_tally.stale_served;
   }
+  report.resolver.surfaced =
+      report.resolver.injected - report.resolver.recovered;
   return report;
 }
 

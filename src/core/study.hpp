@@ -26,6 +26,10 @@
 #include "traffic/trend_study.hpp"
 #include "world/world.hpp"
 
+namespace encdns::exec {
+class TaskGraph;
+}  // namespace encdns::exec
+
 namespace encdns::core {
 
 /// Coverage of one study phase (DESIGN.md §13): work units planned by the
@@ -130,28 +134,26 @@ class Study {
   /// profile is disabled.
   [[nodiscard]] fault::RobustnessReport robustness_report();
 
-  /// Run (and cache) the full study under a PhaseProfiler and return the
-  /// observability report. When no experiment has been forced yet the global
-  /// MetricsRegistry is reset first, so a fresh Study yields a complete,
-  /// deterministic report; experiments forced earlier keep their cached
-  /// results and their metrics stay attributed to no phase.
-  ///
-  /// By default the phases run as a dependency graph (exec::TaskGraph,
-  /// DESIGN.md §15): independent phases overlap on one shared worker pool,
-  /// per-phase metrics come from obs::PhaseTally deltas, and checkpoint
-  /// records switch to the delta family. ENCDNS_DAG=0 keeps the serial
-  /// schedule. Both produce byte-identical reports and golden output.
+  /// Run (and cache) the full study and return the observability report.
+  /// The phases run as one dependency graph (exec::TaskGraph, DESIGN.md
+  /// §15): independent phases overlap on one shared worker pool, and each
+  /// phase's metrics are attributed by its own obs::PhaseTally and folded
+  /// into the report's six phase records. When no experiment has been
+  /// forced yet the global MetricsRegistry is reset first, so a fresh Study
+  /// yields a complete, deterministic report (tests/golden/data/obs.json
+  /// pins it); experiments forced earlier keep their cached results, and
+  /// their metrics stay attributed to no phase unless a checkpoint was
+  /// attached (then each ran as a one-node graph and keeps its delta).
   [[nodiscard]] const ObservabilityReport& observability_report();
-
-  /// ENCDNS_DAG parse: unset/1/on/true → task-graph schedule, 0/off/false →
-  /// serial fallback, anything else → util::EnvError.
-  [[nodiscard]] static bool dag_enabled();
 
   /// Attach a write-ahead phase journal under `dir` (DESIGN.md §13). With
   /// `resume` false the directory must not hold a live journal; with `resume`
   /// true a compatible journal is replayed: committed phases load instead of
   /// running, and a mid-flight phase continues after its last committed
-  /// block. Must be called before any experiment is forced.
+  /// block. Must be called before any experiment is forced. With a journal
+  /// attached, an accessor forced outside observability_report() runs its
+  /// phase as a one-node graph, so it journals exactly as the full graph
+  /// does.
   void enable_checkpoint(const std::string& dir, bool resume);
 
   /// Study-wide wall-clock deadline (seconds from now). Phases started after
@@ -173,41 +175,52 @@ class Study {
   [[nodiscard]] std::vector<PhaseCoverage> data_quality_report();
 
  private:
-  [[nodiscard]] WorldCursor capture_cursor() const;
-  void restore_cursor(const WorldCursor& cursor);
-  // --- task-graph mode (DESIGN.md §15) ------------------------------------
-  [[nodiscard]] const ObservabilityReport& observability_report_dag();
-  /// Serial resume pass before the graph starts: committed delta records
-  /// load (results + owned cursor + additive metrics), phases that were
-  /// mid-flight at the kill re-run to completion here — serially, so their
-  /// cache restores cannot interleave with live phases.
-  void dag_resume_prologue();
+  /// Run `graph` with every phase's fan-out routed through one worker pool
+  /// (shared_pool_), which also marks the graph run for the accessors.
+  void run_graph(exec::TaskGraph& graph);
+  /// Accessor prologue under a journal: outside a graph run, load `phase`
+  /// from the journal or run it as a one-node graph (same run_phase_node
+  /// body, same commit_phase_node merge), and return true — the accessor
+  /// then returns its now-cached result. False inside a graph run or
+  /// without a journal: the accessor runs the phase itself.
+  bool run_journaled_outside_graph(const std::string& phase);
+  /// Load `phase`'s committed record, if the journal holds one: results,
+  /// owned cursor, and its metrics delta (applied additively).
+  bool load_committed_phase(const std::string& phase);
+  /// Resume pass before the graph starts: committed phases load, and phases
+  /// that were mid-flight at the kill re-run to completion here, each as a
+  /// one-node graph — serially, so their cache restores cannot interleave
+  /// with live phases.
+  void resume_prologue();
   /// Node-body wrapper: force `phase` under a fresh PhaseTally and record
   /// its metrics delta and wall time. No-op if the phase already has a
-  /// delta (loaded from the journal).
+  /// delta (loaded from the journal, or forced earlier).
   void run_phase_node(const std::string& phase);
-  /// Node-merge wrapper: journal the phase's pending delta commit. Runs on
-  /// the driver thread, in canonical declaration order.
+  /// Node-merge wrapper: journal the phase's pending commit. Runs on the
+  /// driver thread, in canonical declaration order.
   void commit_phase_node(const std::string& phase);
   /// Dispatch a phase name to its accessor (plus the "certs" pseudo-phase).
   void force_phase(const std::string& phase);
   /// §3.2 certificate analysis of the final scan snapshot — the body of the
-  /// serial "certs" profiler bracket and of the DAG certs node.
+  /// certs node.
   void run_certs_analysis();
   /// Decode a committed phase's state blob into its cached optional.
   void decode_phase_state(const std::string& phase,
                           const std::vector<std::uint8_t>& state);
   /// Cursor capture/restore limited to the platform `phase` itself advances
-  /// (plus caches and tally): under overlap the other platform belongs to a
-  /// concurrently running node and must not be touched.
+  /// (plus the cache entries it stored): under overlap the other platform
+  /// belongs to a concurrently running node and must not be touched.
   [[nodiscard]] WorldCursor capture_owned_cursor(const std::string& phase) const;
   void restore_owned_cursor(const std::string& phase, const WorldCursor& cursor);
+  /// The phase's block-boundary checkpoint hook (nullptr without a journal),
+  /// after rewinding its owned platform to the newest partial, if any.
+  [[nodiscard]] std::unique_ptr<exec::CheckpointHook> phase_checkpoint(
+      const std::string& phase);
   /// Stash a phase's serialized results + post-phase owned cursor for the
-  /// merge slot to journal (graph mode defers commits to merge order).
-  void stash_commit(const std::string& phase, std::vector<std::uint8_t> state);
-  /// Resolver-cache tally including activity from before the last resume
-  /// (the live World starts cold; the cursor carries the killed run's tally).
-  [[nodiscard]] world::World::ResolverCacheTally cumulative_cache_tally() const;
+  /// merge slot to journal. No-op without a journal.
+  template <typename T>
+  void stash_commit(const std::string& phase, const T& results,
+                    void (*encode)(util::ByteWriter&, const T&));
   /// Lazily build the per-phase cancel token in `slot` from the `env_name`
   /// budget variable ("<seconds>" wall or "sim:<ms>" deterministic) chained
   /// to the study-wide deadline token. Returns nullptr when neither exists.
@@ -233,13 +246,10 @@ class Study {
   /// ENCDNS_DEADLINE_NETFLOW budget *value* with a fresh token) — the trend
   /// phase must not inherit a token the netflow phase already tripped.
   std::optional<exec::CancelToken> netflow_trend_cancel_;
-  world::World::ResolverCacheTally tally_baseline_;
 
-  // Task-graph run state. graph_mode_ flips the accessors' checkpoint
-  // branches to the delta protocol and shared_pool_ routes their fan-out
-  // through the one pool the graph owns; dag_mutex_ guards the maps, which
-  // node threads fill concurrently.
-  bool graph_mode_ = false;
+  // Graph run state. shared_pool_ is non-null only during a graph run and
+  // routes the accessors' fan-out through the one pool the graph owns;
+  // dag_mutex_ guards the maps, which node threads fill concurrently.
   exec::WorkerPool* shared_pool_ = nullptr;
   std::mutex dag_mutex_;
   std::map<std::string, obs::Snapshot> phase_deltas_;

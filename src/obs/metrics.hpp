@@ -149,8 +149,8 @@ class Counter {
 
   /// As add(), but bypasses the enabled() gate: the checkpoint-resume path
   /// (MetricsRegistry::apply_delta) must land its increments even if a
-  /// caller disabled instrumentation, and unlike restore() it must stay
-  /// atomic because other phases may be incrementing concurrently.
+  /// caller disabled instrumentation. Atomic, because other phases may be
+  /// incrementing concurrently.
   void accumulate(std::uint64_t n) noexcept {
     shards_[detail::thread_shard()].value.fetch_add(n,
                                                     std::memory_order_relaxed);
@@ -175,13 +175,6 @@ class Counter {
 
   void reset() noexcept {
     for (auto& shard : shards_) shard.value.store(0, std::memory_order_relaxed);
-  }
-
-  /// Set the merged total to an absolute value (checkpoint restore, serial
-  /// sections only): zeros every shard and stores the whole value in shard 0.
-  void restore(std::uint64_t v) noexcept {
-    reset();
-    shards_[0].value.store(v, std::memory_order_relaxed);
   }
 
   [[nodiscard]] bool diagnostic() const noexcept { return diagnostic_; }
@@ -223,10 +216,6 @@ class Gauge {
     return value_.load(std::memory_order_relaxed);
   }
   void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-  /// Absolute restore (checkpoint), ignoring the enabled() gate.
-  void restore(std::int64_t v) noexcept {
-    value_.store(v, std::memory_order_relaxed);
-  }
   [[nodiscard]] bool diagnostic() const noexcept { return diagnostic_; }
 
  private:
@@ -264,10 +253,6 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
   void reset() noexcept;
-  /// Absolute restore from a snapshot sample (checkpoint, serial sections
-  /// only). The sample's bucket layout must match this histogram's bounds;
-  /// a mismatch throws (the journal fingerprint should have caught it).
-  void restore(const HistogramSample& sample);
   /// Fold a delta sample in on top of the current contents (checkpoint
   /// replay under the task graph): bucket/count/sum adds plus commutative
   /// min/max folds, all atomic — safe while other phases observe
@@ -376,14 +361,6 @@ class MetricsRegistry {
 
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Set the registry to exactly the state captured in `snap`: every value
-  /// is zeroed, then each sampled metric is re-registered (with the sample's
-  /// diagnostic flag and bucket bounds) and restored absolutely. Serial
-  /// sections only — this is the checkpoint-resume path (DESIGN.md §13),
-  /// which replays the metric state recorded at a journal commit so a
-  /// resumed run's observability report is byte-identical.
-  void restore(const Snapshot& snap);
-
   /// Name-sorted snapshot of everything attributed to `tally`: the per-phase
   /// view of the registry under the task graph. Zero-valued entries are
   /// skipped; histogram bucket vectors are padded to the registered bucket
@@ -392,8 +369,8 @@ class MetricsRegistry {
   [[nodiscard]] Snapshot delta_snapshot(const PhaseTally& tally) const;
 
   /// Add a delta snapshot on top of the current registry state (checkpoint
-  /// resume under the task graph, DESIGN.md §15). Unlike restore() this is
-  /// additive and atomic per metric, so it is safe while other phases run;
+  /// resume, DESIGN.md §15). Additive and atomic per metric, so it is safe
+  /// while other phases run;
   /// the increments are also mirrored into the calling thread's PhaseTally,
   /// which is how a resumed node's partial records keep accumulating.
   void apply_delta(const Snapshot& delta);
@@ -416,8 +393,7 @@ class MetricsRegistry {
   /// Subtract a delta previously recorded into the registry. Used by the
   /// delta-family checkpoint hook: a resumed phase re-executes its prologue
   /// (e.g. the platform batch re-acquisition) before load(), re-recording
-  /// work its saved delta already contains — serial mode wipes that with an
-  /// absolute restore; the additive protocol retracts it instead. Exact for
+  /// work its saved delta already contains, and this retracts it. Exact for
   /// counters, histogram buckets/count/sum and spans; histogram min/max
   /// folds are irreversible and left alone (prologues record none).
   void retract_delta(const Snapshot& delta);

@@ -154,6 +154,25 @@ TEST_F(CheckpointTest, VersionSkewFailsClosed) {
   EXPECT_THROW(Journal(dir_, kFingerprint, true), JournalError);
 }
 
+TEST_F(CheckpointTest, VersionOneJournalFailsClosed) {
+  // Version 1 journals hold the retired absolute-snapshot records; a
+  // well-formed v1 header must be refused by name, before any record is
+  // read (the version check precedes the checksum).
+  seed_journal();
+  auto bytes = read_file(journal_file());
+  bytes[8] = 1;  // little-endian u32 version right after the 8-byte magic
+  bytes[9] = bytes[10] = bytes[11] = 0;
+  write_file(journal_file(), bytes);
+  try {
+    Journal journal(dir_, kFingerprint, true);
+    FAIL() << "a version-1 journal must not load";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("journal version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(CheckpointTest, WrongMagicFailsClosed) {
   seed_journal();
   auto bytes = read_file(journal_file());
@@ -225,7 +244,6 @@ WorldCursor sample_cursor() {
   cursor.global_platform.next_id = 42;
   cursor.cn_platform.rng.words = {5, 6, 7, 8};
   cursor.cn_platform.next_id = 7;
-  cursor.cache_tally = {10, 20, 3, 1, 0, 16};
   cache::ExportedEntry entry;
   entry.key = "example.com|A|853";
   entry.expiry_s = 1234567;
@@ -242,7 +260,7 @@ TEST_F(CheckpointTest, CursorCodecRoundTripsByteIdentically) {
   const WorldCursor decoded = decode_cursor(r);
   r.expect_done();
   EXPECT_EQ(decoded.global_platform.next_id, 42u);
-  EXPECT_EQ(decoded.cache_tally.misses, 20u);
+  EXPECT_EQ(decoded.cn_platform.next_id, 7u);
   ASSERT_EQ(decoded.caches.size(), 2u);
   ASSERT_EQ(decoded.caches[0].size(), 1u);
   EXPECT_EQ(decoded.caches[0][0].key, "example.com|A|853");
@@ -261,28 +279,39 @@ TEST_F(CheckpointTest, TruncatedCursorFailsClosed) {
 
 // --- StudyCheckpoint over the journal ---------------------------------------
 
+obs::Snapshot sample_delta(std::uint64_t value) {
+  obs::Snapshot delta;
+  delta.counters.push_back({"test.ckpt.work", value, false});
+  return delta;
+}
+
 TEST_F(CheckpointTest, PhaseCommitRoundTripsStateAndCursor) {
   const std::vector<std::uint8_t> state = {0xDE, 0xAD, 0xBE, 0xEF};
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
-    checkpoint.commit_phase("scan_campaign", state, sample_cursor());
+    checkpoint.commit_phase_delta("scan_campaign", state, sample_cursor(),
+                                  sample_delta(5));
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  const auto loaded = checkpoint.load_phase("scan_campaign");
+  const auto loaded = checkpoint.load_phase_delta("scan_campaign");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->state, state);
   EXPECT_EQ(loaded->cursor.global_platform.next_id, 42u);
   ASSERT_EQ(loaded->cursor.caches.size(), 2u);
   EXPECT_EQ(loaded->cursor.caches[0][0].expiry_s, 1234567);
-  EXPECT_FALSE(checkpoint.load_phase("doh_discovery").has_value());
+  ASSERT_EQ(loaded->delta.counters.size(), 1u);
+  EXPECT_EQ(loaded->delta.counters[0].name, "test.ckpt.work");
+  EXPECT_EQ(loaded->delta.counters[0].value, 5u);
+  EXPECT_TRUE(checkpoint.load_skeleton().has_value());
+  EXPECT_FALSE(checkpoint.load_phase_delta("doh_discovery").has_value());
 }
 
 TEST_F(CheckpointTest, PartialsSupersedeAndPhaseWinsOverPartial) {
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, false);
     WorldCursor pre = sample_cursor();
-    auto hook = checkpoint.phase_hook("performance", pre, [&] {
-      return sample_cursor();  // capture: cache/tally at save time
+    auto hook = checkpoint.phase_delta_hook("performance", pre, [&] {
+      return sample_cursor();  // capture: caches at save time
     });
     EXPECT_FALSE(hook->load().has_value());
     hook->save({1});
@@ -291,33 +320,40 @@ TEST_F(CheckpointTest, PartialsSupersedeAndPhaseWinsOverPartial) {
   }
   {
     StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-    EXPECT_TRUE(checkpoint.partial_pre_cursor("performance").has_value());
-    checkpoint.commit_phase("performance", {3, 3, 3}, sample_cursor());
+    const auto partial = checkpoint.load_partial_delta("performance");
+    ASSERT_TRUE(partial.has_value());
+    EXPECT_EQ(partial->state, (std::vector<std::uint8_t>{2, 2}));
+    EXPECT_FALSE(checkpoint.load_phase_delta("performance").has_value());
+    checkpoint.commit_phase_delta("performance", {3, 3, 3}, sample_cursor(),
+                                  sample_delta(1));
   }
   StudyCheckpoint checkpoint(dir_, kFingerprint, true);
-  const auto loaded = checkpoint.load_phase("performance");
+  const auto loaded = checkpoint.load_phase_delta("performance");
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->state, (std::vector<std::uint8_t>{3, 3, 3}));
 }
 
 TEST_F(CheckpointTest, PartialPreCursorKeepsThePrePhasePlatformPosition) {
   // The hybrid-cursor contract: platform cursors in a partial are the
-  // pre-phase ones (the prologue re-runs on resume), even though cache
-  // contents are captured at save time.
+  // pre-phase ones (the prologue re-runs on resume), but cache contents are
+  // captured at save time.
   StudyCheckpoint checkpoint(dir_, kFingerprint, false);
   WorldCursor pre = sample_cursor();
   pre.global_platform.next_id = 100;
-  auto hook = checkpoint.phase_hook("netflow", pre, [&] {
+  pre.caches = {{}, {}};
+  auto hook = checkpoint.phase_delta_hook("netflow", pre, [&] {
     WorldCursor advanced = sample_cursor();
     advanced.global_platform.next_id = 999;  // platform moved mid-phase
-    advanced.cache_tally.hits = 77;          // cache state moved too
+    advanced.caches[1].push_back(advanced.caches[0][0]);  // caches moved too
     return advanced;
   });
   hook->save({1});
-  const auto rewound = checkpoint.partial_pre_cursor("netflow");
-  ASSERT_TRUE(rewound.has_value());
-  EXPECT_EQ(rewound->global_platform.next_id, 100u);  // pre-phase, not 999
-  EXPECT_EQ(rewound->cache_tally.hits, 77u);          // at-save, not pre
+  const auto partial = checkpoint.load_partial_delta("netflow");
+  ASSERT_TRUE(partial.has_value());
+  EXPECT_EQ(partial->cursor.global_platform.next_id, 100u);  // pre-phase
+  ASSERT_EQ(partial->cursor.caches.size(), 2u);
+  EXPECT_EQ(partial->cursor.caches[0].size(), 1u);  // at-save, not pre
+  EXPECT_EQ(partial->cursor.caches[1].size(), 1u);
 }
 
 }  // namespace

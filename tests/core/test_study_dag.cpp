@@ -1,5 +1,6 @@
 // Study-level task-graph execution (DESIGN.md §15): kill-chaos resume under
-// overlapping phases, and the per-phase deadline-token regressions.
+// overlapping phases and after accessors forced outside the graph, and the
+// per-phase deadline-token regressions.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <stdlib.h>
@@ -10,6 +11,7 @@
 #include <string>
 
 #include "core/study.hpp"
+#include "obs/metrics.hpp"
 
 namespace encdns::core {
 namespace {
@@ -20,15 +22,12 @@ class StudyDagTest : public ::testing::Test {
     char tmpl[] = "/tmp/encdns_dag_XXXXXX";
     ASSERT_NE(::mkdtemp(tmpl), nullptr);
     dir_ = tmpl;
-    // Pin the graph schedule and a small worker pool so phases genuinely
-    // overlap; results must not depend on either (that is the contract
-    // under test).
-    ::setenv("ENCDNS_DAG", "1", 1);
+    // Pin a small worker pool so phases genuinely overlap; results must not
+    // depend on it (that is the contract under test).
     ::setenv("ENCDNS_THREADS", "3", 1);
   }
 
   void TearDown() override {
-    ::unsetenv("ENCDNS_DAG");
     ::unsetenv("ENCDNS_THREADS");
     ::unsetenv("ENCDNS_DEADLINE_SCAN");
     ::unsetenv("ENCDNS_DEADLINE_DOH_SCAN");
@@ -80,6 +79,40 @@ TEST_F(StudyDagTest, ResumeAfterMidRunKillMatchesUninterruptedReport) {
   Study resumed(StudyConfig::quick());
   resumed.enable_checkpoint(dir_, /*resume=*/true);
   EXPECT_EQ(resumed.observability_report().to_json(), expected);
+}
+
+// Regression: an accessor forced outside observability_report() with a
+// journal attached used to write the retired absolute records, and the
+// report's resume pass then threw "corrupt phase-delta record". The forced
+// accessor now runs as a one-node graph through the delta protocol, so the
+// sequence survives a SIGKILL at any commit — during the forced phase or
+// during the graph that follows — and resumes to the uninterrupted report.
+TEST_F(StudyDagTest, ForcedAccessorBeforeReportResumesAfterKill) {
+  // The registry is process-wide and a study with forced accessors does not
+  // reset it, so each sequence starts from a zeroed registry.
+  const auto run_sequence = [](const std::string& dir, bool resume) {
+    obs::MetricsRegistry::global().reset();
+    Study study(StudyConfig::quick());
+    study.enable_checkpoint(dir, resume);
+    EXPECT_GT(study.reachability_global().clients, 0u);
+    return study.observability_report().to_json();
+  };
+  const std::string expected = run_sequence(dir_ + "/reference", false);
+
+  // Commit 2 lands inside the forced reachability phase (a partial); commit
+  // 12 lands in the graph, after the forced phase committed.
+  for (const char* kill_after : {"2", "12"}) {
+    const std::string journal = dir_ + "/kill" + kill_after;
+    EXPECT_EXIT(
+        {
+          ::setenv("ENCDNS_CHECKPOINT_KILL_AFTER", kill_after, 1);
+          (void)run_sequence(journal, false);
+          std::_Exit(0);  // unreachable: the fuse fires first
+        },
+        ::testing::KilledBySignal(SIGKILL), "");
+    EXPECT_EQ(run_sequence(journal, true), expected)
+        << "killed at commit " << kill_after;
+  }
 }
 
 }  // namespace

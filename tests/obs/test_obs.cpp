@@ -208,21 +208,29 @@ TEST(Profiler, RecordsDeltasPerPhase) {
   auto& faults = registry.counter("test.phase.fault.injected");
   auto& span = registry.span("test.phase.span");
 
-  PhaseProfiler profiler(registry);
-  profiler.begin("alpha");
-  work.add(10);
-  faults.add(2);
-  {
+  // Each phase's record is built from the delta its PhaseTally attributed,
+  // exactly as Study::observability_report builds its graph nodes' records.
+  const auto run_phase = [&registry](const char* name, const auto& body) {
+    PhaseTally tally;
+    {
+      ScopedTally scope(&tally);
+      body();
+    }
+    return PhaseProfiler::from_delta(name, registry.delta_snapshot(tally),
+                                     /*wall_ms=*/1.0);
+  };
+  std::vector<PhaseRecord> records;
+  records.push_back(run_phase("alpha", [&] {
+    work.add(10);
+    faults.add(2);
     SpanScope scope(span);
     scope.add_sim(sim::Millis{5.0});
-  }
-  profiler.end();
-  profiler.begin("beta");
-  work.add(1);
-  profiler.end();
+  }));
+  work.add(7);  // outside any phase: attributed to neither record
+  records.push_back(run_phase("beta", [&] { work.add(1); }));
 
-  ASSERT_EQ(profiler.records().size(), 2u);
-  const PhaseRecord& alpha = profiler.records()[0];
+  ASSERT_EQ(records.size(), 2u);
+  const PhaseRecord& alpha = records[0];
   EXPECT_EQ(alpha.name, "alpha");
   EXPECT_EQ(alpha.sim_us, 5000u);
   EXPECT_EQ(alpha.faults, 2u);
@@ -233,15 +241,17 @@ TEST(Profiler, RecordsDeltasPerPhase) {
       EXPECT_EQ(sample.value, 10u);
     }
   EXPECT_TRUE(saw_work);
-  const PhaseRecord& beta = profiler.records()[1];
+  const PhaseRecord& beta = records[1];
   EXPECT_EQ(beta.name, "beta");
   EXPECT_EQ(beta.sim_us, 0u);
   EXPECT_EQ(beta.faults, 0u);
+  ASSERT_EQ(beta.counters.size(), 1u);
+  EXPECT_EQ(beta.counters[0].value, 1u);
 
-  const std::string json = PhaseProfiler::to_json(profiler.records());
+  const std::string json = PhaseProfiler::to_json(records);
   EXPECT_NE(json.find("\"alpha\""), std::string::npos);
   EXPECT_EQ(json.find("wall"), std::string::npos);
-  EXPECT_FALSE(PhaseProfiler::to_text(profiler.records()).empty());
+  EXPECT_FALSE(PhaseProfiler::to_text(records).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -73,82 +73,62 @@ run_throughput_guard() {
 }
 
 run_chaos() {
-  # The DESIGN.md §13 resume contract, proven the hard way: a reference run
-  # at 2 threads, then a checkpointed run SIGKILLed at three different
-  # journal commits (via ENCDNS_CHECKPOINT_KILL_AFTER) and resumed each time
-  # at a different thread count. The survivors' golden corpus and stable obs
-  # JSON must be byte-identical to the reference.
+  # The DESIGN.md §13 resume contract, proven the hard way: checkpointed runs
+  # SIGKILLed at journal commits (via ENCDNS_CHECKPOINT_KILL_AFTER) —
+  # overlapping phases and all — and resumed each time at a different thread
+  # count. The survivors' golden corpus and stable obs JSON must match the
+  # committed tests/golden/data byte for byte.
   echo "=== checkpoint kill/resume chaos ==="
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
-  ENCDNS_THREADS=2 ./build/tools/encdns_study \
-    --golden-dir "${tmp}/ref" --obs-json "${tmp}/ref.json" >/dev/null
 
-  # Kill counters are per process, so each resume gets a fresh count; the
-  # three points land in different phases of the journal's commit sequence.
-  local kill_points=(3 10 7) threads=(2 8 4) i rc
-  for i in 0 1 2; do
-    rc=0
-    ENCDNS_THREADS="${threads[$i]}" \
-      ENCDNS_CHECKPOINT_KILL_AFTER="${kill_points[$i]}" \
-      ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
-      $([ "$i" -gt 0 ] && echo --resume) \
-      --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" \
-      >/dev/null 2>&1 || rc=$?
-    if [ "${rc}" -ne 137 ]; then
-      echo "chaos: expected SIGKILL (137) at commit ${kill_points[$i]}, got ${rc}" >&2
-      return 1
-    fi
-  done
-  ENCDNS_THREADS=1 ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
-    --resume --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
-  diff -r "${tmp}/ref" "${tmp}/out"
-  cmp "${tmp}/ref.json" "${tmp}/out.json"
-  echo "kill+resume run is byte-identical to the uninterrupted reference."
+  # chaos_leg NAME FINAL_THREADS KILL:THREADS...: one journal, killed at each
+  # commit in turn, then resumed to completion. Kill counters are per
+  # process, so each resume gets a fresh count; the points land in different
+  # phases of the journal's commit sequence.
+  chaos_leg() {
+    local name="$1" final_threads="$2" step kill threads rc resume=""
+    shift 2
+    for step in "$@"; do
+      kill="${step%%:*}" threads="${step##*:}" rc=0
+      ENCDNS_THREADS="${threads}" ENCDNS_CHECKPOINT_KILL_AFTER="${kill}" \
+        ./build/tools/encdns_study --checkpoint-dir "${tmp}/${name}.ckpt" \
+        ${resume} --golden-dir "${tmp}/${name}" >/dev/null 2>&1 || rc=$?
+      if [ "${rc}" -ne 137 ]; then
+        echo "chaos: expected SIGKILL (137) at commit ${kill}, got ${rc}" >&2
+        return 1
+      fi
+      resume=--resume
+    done
+    ENCDNS_THREADS="${final_threads}" ./build/tools/encdns_study \
+      --checkpoint-dir "${tmp}/${name}.ckpt" --resume \
+      --golden-dir "${tmp}/${name}" >/dev/null
+    diff -r tests/golden/data "${tmp}/${name}"
+  }
+  chaos_leg triple 1 3:2 10:8 7:4
+  chaos_leg single 8 5:2
+  echo "kill+resume runs are byte-identical to tests/golden/data."
 }
 
 run_dag_guard() {
   # DESIGN.md §15: the task-graph schedule must be invisible in the output.
-  # A serial (ENCDNS_DAG=0) reference run writes the golden corpus and the
-  # stable obs JSON; task-graph runs at 1, 2 and 8 threads must reproduce
-  # both byte for byte. bench_macro_study --dag-guard re-checks the report
-  # identity in-process and holds the critical-path wall-clock floor on
-  # multi-core machines. Finally a checkpointed task-graph run is SIGKILLed
-  # mid-flight — overlapping phases and all — and resumed at a different
-  # thread count; the survivor must still match the serial reference.
+  # Runs at 1, 2 and 8 threads must reproduce the committed golden corpus,
+  # obs.json included, byte for byte. bench_macro_study --dag-guard then
+  # holds the critical-path wall-clock floor against a sequential
+  # accessor-forced run on multi-core machines.
   echo "=== task-graph schedule guard ==="
   local tmp
   tmp="$(mktemp -d)"
   trap 'rm -rf "${tmp}"' RETURN
-  ENCDNS_DAG=0 ./build/tools/encdns_study \
-    --golden-dir "${tmp}/ref" --obs-json "${tmp}/ref.json" >/dev/null
-
   local t
   for t in 1 2 8; do
-    ENCDNS_DAG=1 ENCDNS_THREADS="${t}" ./build/tools/encdns_study \
-      --golden-dir "${tmp}/dag" --obs-json "${tmp}/dag.json" >/dev/null
-    diff -r "${tmp}/ref" "${tmp}/dag"
-    cmp "${tmp}/ref.json" "${tmp}/dag.json"
-    rm -rf "${tmp}/dag" "${tmp}/dag.json"
+    ENCDNS_THREADS="${t}" ./build/tools/encdns_study \
+      --golden-dir "${tmp}/t${t}" >/dev/null
+    diff -r tests/golden/data "${tmp}/t${t}"
   done
-
   ./build/bench/bench_macro_study --dag-guard
-
-  local rc=0
-  ENCDNS_DAG=1 ENCDNS_THREADS=2 ENCDNS_CHECKPOINT_KILL_AFTER=5 \
-    ./build/tools/encdns_study --checkpoint-dir "${tmp}/ckpt" \
-    --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null 2>&1 || rc=$?
-  if [ "${rc}" -ne 137 ]; then
-    echo "dag-guard: expected SIGKILL (137) at commit 5, got ${rc}" >&2
-    return 1
-  fi
-  ENCDNS_DAG=1 ENCDNS_THREADS=8 ./build/tools/encdns_study \
-    --checkpoint-dir "${tmp}/ckpt" --resume \
-    --golden-dir "${tmp}/out" --obs-json "${tmp}/out.json" >/dev/null
-  diff -r "${tmp}/ref" "${tmp}/out"
-  cmp "${tmp}/ref.json" "${tmp}/out.json"
-  echo "task-graph runs are byte-identical to serial, including kill/resume."
+  echo "task-graph runs at 1/2/8 threads match tests/golden/data."
 }
 
 run_checkpoint_guard() {
