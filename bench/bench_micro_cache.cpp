@@ -34,15 +34,17 @@ cache::CachedAnswer answer_for(const std::string& name) {
 void BM_CacheLookupHit(benchmark::State& state) {
   cache::DnsCache cache;
   cache.store("hot.example/1", answer_for("hot.example"), 0);
+  std::vector<dns::ResourceRecord> answers;
   for (auto _ : state)
-    benchmark::DoNotOptimize(cache.lookup("hot.example/1", 1));
+    benchmark::DoNotOptimize(cache.lookup("hot.example/1", 1, answers));
 }
 BENCHMARK(BM_CacheLookupHit);
 
 void BM_CacheLookupMiss(benchmark::State& state) {
   cache::DnsCache cache;
+  std::vector<dns::ResourceRecord> answers;
   for (auto _ : state)
-    benchmark::DoNotOptimize(cache.lookup("absent.example/1", 1));
+    benchmark::DoNotOptimize(cache.lookup("absent.example/1", 1, answers));
 }
 BENCHMARK(BM_CacheLookupMiss);
 
@@ -62,8 +64,9 @@ void BM_CacheLookupContended(benchmark::State& state) {
   static cache::DnsCache cache;
   if (state.thread_index() == 0)
     cache.store("shared.example/1", answer_for("shared.example"), 0);
+  std::vector<dns::ResourceRecord> answers;
   for (auto _ : state)
-    benchmark::DoNotOptimize(cache.lookup("shared.example/1", 1));
+    benchmark::DoNotOptimize(cache.lookup("shared.example/1", 1, answers));
 }
 BENCHMARK(BM_CacheLookupContended)->Threads(4);
 
@@ -167,9 +170,10 @@ int write_cache_comparison_json() {
   cache::CacheConfig config;
   config.max_entries = kCapacity;
   cache::DnsCache sharded(config);
+  std::vector<dns::ResourceRecord> answers;
   const MixResult new_result = run_mix(
       [&](const std::string& key) {
-        return sharded.lookup(key, 0).has_value();
+        return sharded.lookup(key, 0, answers).has_value();
       },
       [&](const std::string& key, const cache::CachedAnswer& a) {
         sharded.store(key, a, 0);

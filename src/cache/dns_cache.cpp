@@ -1,7 +1,9 @@
 #include "cache/dns_cache.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
+#include "dns/wire.hpp"
 #include "obs/metrics.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -15,7 +17,43 @@ namespace {
   return p;
 }
 
+/// Decode an entry's answer into `answers`. Entries hold only bytes the
+/// cache encoded itself or that the journal decoder already accepted, so a
+/// failure here is a broken invariant, not bad input.
+dns::RCode decode_entry(std::span<const std::uint8_t> wire,
+                        std::vector<dns::ResourceRecord>& answers) {
+  dns::RCode rcode = dns::RCode::kNoError;
+  if (!decode_cached_answer(wire, rcode, answers))
+    throw std::logic_error("cache entry does not decode");
+  return rcode;
+}
+
 }  // namespace
+
+void encode_cached_answer(const CachedAnswer& answer,
+                          std::vector<std::uint8_t>& out) {
+  dns::Header header;
+  header.qr = true;
+  header.rcode = answer.rcode;
+  dns::WireWriter writer(out);
+  dns::encode_answers_into(writer, header, answer.answers, /*compress=*/false);
+}
+
+bool decode_cached_answer(std::span<const std::uint8_t> wire, dns::RCode& rcode,
+                          std::vector<dns::ResourceRecord>& answers) {
+  // Decode through a Message that borrows the caller's records for its
+  // answer section; its other sections stay empty (and unallocated) for
+  // every well-formed entry.
+  dns::Message message;
+  message.answers.swap(answers);
+  const bool ok = dns::Message::decode_into(wire, message);
+  answers.swap(message.answers);
+  if (!ok || !message.questions.empty() || !message.authorities.empty() ||
+      !message.additionals.empty())
+    return false;
+  rcode = message.header.rcode;
+  return true;
+}
 
 CacheConfig CacheConfig::from_env(CacheConfig fallback) {
   // Strict parsing (DESIGN.md §13): ENCDNS_CACHE_ENTRIES=10k used to be
@@ -51,12 +89,98 @@ DnsCache::DnsCache(CacheConfig config) : config_(config) {
   obs_reject_ = &registry.counter("cache.entry.reject");
 }
 
-DnsCache::Shard& DnsCache::shard_for(std::string_view key) noexcept {
-  return *shards_[util::fnv1a(key) & shard_mask_];
+// --- shard slab: LRU links and the open-addressing index --------------------
+
+std::uint32_t DnsCache::Shard::find(std::string_view key,
+                                    std::uint32_t hash) const noexcept {
+  if (index.empty()) return kNil;
+  const std::size_t mask = index.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t slot = index[i];
+    if (slot == 0) return kNil;
+    const Entry& entry = slab[slot - 1];
+    if (entry.hash == hash && entry.key() == key) return slot - 1;
+  }
 }
 
-const DnsCache::Shard& DnsCache::shard_for(std::string_view key) const noexcept {
-  return *shards_[util::fnv1a(key) & shard_mask_];
+void DnsCache::Shard::index_insert(std::uint32_t pos) {
+  // `live` already counts the entry being indexed.
+  if (live * 2 > index.size()) {
+    // Keep the load at most one half: double and re-place every member.
+    std::vector<std::uint32_t> grown(std::max<std::size_t>(8, index.size() * 2));
+    const std::size_t mask = grown.size() - 1;
+    for (const std::uint32_t slot : index) {
+      if (slot == 0) continue;
+      std::size_t i = slab[slot - 1].hash & mask;
+      while (grown[i] != 0) i = (i + 1) & mask;
+      grown[i] = slot;
+    }
+    index.swap(grown);
+  }
+  const std::size_t mask = index.size() - 1;
+  std::size_t i = slab[pos].hash & mask;
+  while (index[i] != 0) i = (i + 1) & mask;
+  index[i] = pos + 1;
+}
+
+void DnsCache::Shard::index_erase(std::uint32_t pos) noexcept {
+  const std::size_t mask = index.size() - 1;
+  std::size_t hole = slab[pos].hash & mask;
+  while (index[hole] != pos + 1) hole = (hole + 1) & mask;
+  // Backward-shift deletion (no tombstones): a later member of the probe run
+  // moves into the hole unless its home slot lies cyclically in (hole, j].
+  for (std::size_t j = (hole + 1) & mask; index[j] != 0; j = (j + 1) & mask) {
+    const std::size_t home = slab[index[j] - 1].hash & mask;
+    const bool stays = hole < j ? (home > hole && home <= j)
+                                : (home > hole || home <= j);
+    if (!stays) {
+      index[hole] = index[j];
+      hole = j;
+    }
+  }
+  index[hole] = 0;
+}
+
+void DnsCache::Shard::unlink(std::uint32_t pos) noexcept {
+  Entry& entry = slab[pos];
+  (entry.prev != kNil ? slab[entry.prev].next : head) = entry.next;
+  (entry.next != kNil ? slab[entry.next].prev : tail) = entry.prev;
+  entry.prev = entry.next = kNil;
+}
+
+void DnsCache::Shard::link_front(std::uint32_t pos) noexcept {
+  Entry& entry = slab[pos];
+  entry.prev = kNil;
+  entry.next = head;
+  (head != kNil ? slab[head].prev : tail) = pos;
+  head = pos;
+}
+
+void DnsCache::Shard::link_back(std::uint32_t pos) noexcept {
+  Entry& entry = slab[pos];
+  entry.next = kNil;
+  entry.prev = tail;
+  (tail != kNil ? slab[tail].next : head) = pos;
+  tail = pos;
+}
+
+std::uint32_t DnsCache::Shard::allocate() {
+  if (free != kNil) {
+    const std::uint32_t pos = free;
+    free = slab[pos].next;
+    slab[pos].next = kNil;
+    return pos;
+  }
+  slab.emplace_back();
+  return static_cast<std::uint32_t>(slab.size() - 1);
+}
+
+// --- DnsCache ----------------------------------------------------------------
+
+DnsCache::Located DnsCache::locate(std::string_view key) const noexcept {
+  const std::uint64_t hash = util::fnv1a(key);
+  return {shards_[hash & shard_mask_].get(),
+          static_cast<std::uint32_t>(hash >> 32)};
 }
 
 std::uint32_t DnsCache::ttl_for(const CachedAnswer& answer) const noexcept {
@@ -66,40 +190,49 @@ std::uint32_t DnsCache::ttl_for(const CachedAnswer& answer) const noexcept {
   return std::max(ttl, config_.min_ttl_s);
 }
 
-std::optional<DnsCache::Hit> DnsCache::lookup(std::string_view key,
-                                              std::int64_t now_s) {
-  Shard& shard = shard_for(key);
+std::optional<DnsCache::Hit> DnsCache::lookup(
+    std::string_view key, std::int64_t now_s,
+    std::vector<dns::ResourceRecord>& answers) {
+  const Located at = locate(key);
+  Shard& shard = *at.shard;
+  std::optional<Hit> hit;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end() && now_s < it->second->expiry_s) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      Hit hit{it->second->answer, /*stale=*/false};
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      obs_hit_->add();
-      if (hit.answer.negative()) {
-        negative_hits_.fetch_add(1, std::memory_order_relaxed);
-        obs_negative_->add();
-      }
-      return hit;
+    const std::uint32_t pos = shard.find(key, at.hash);
+    if (pos != kNil && now_s < shard.slab[pos].expiry_s) {
+      shard.unlink(pos);
+      shard.link_front(pos);
+      hit = Hit{decode_entry(shard.slab[pos].wire(), answers), /*stale=*/false};
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  obs_miss_->add();
-  return std::nullopt;
+  if (!hit) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    obs_miss_->add();
+    return hit;
+  }
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  obs_hit_->add();
+  if (negative_answer(hit->rcode, answers)) {
+    negative_hits_.fetch_add(1, std::memory_order_relaxed);
+    obs_negative_->add();
+  }
+  return hit;
 }
 
-std::optional<DnsCache::Hit> DnsCache::lookup_stale(std::string_view key,
-                                                    std::int64_t now_s) {
+std::optional<DnsCache::Hit> DnsCache::lookup_stale(
+    std::string_view key, std::int64_t now_s,
+    std::vector<dns::ResourceRecord>& answers) {
   if (!config_.serve_stale) return std::nullopt;
-  Shard& shard = shard_for(key);
+  const Located at = locate(key);
+  Shard& shard = *at.shard;
   const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  const std::int64_t expiry = it->second->expiry_s;
-  if (now_s >= expiry + static_cast<std::int64_t>(config_.max_stale_s))
+  const std::uint32_t pos = shard.find(key, at.hash);
+  if (pos == kNil) return std::nullopt;
+  const Entry& entry = shard.slab[pos];
+  if (now_s >= entry.expiry_s + static_cast<std::int64_t>(config_.max_stale_s))
     return std::nullopt;  // too stale even for RFC 8767
-  Hit hit{it->second->answer, /*stale=*/now_s >= expiry};
+  const Hit hit{decode_entry(entry.wire(), answers),
+                /*stale=*/now_s >= entry.expiry_s};
   if (hit.stale) {
     stale_served_.fetch_add(1, std::memory_order_relaxed);
     obs_stale_->add();
@@ -108,11 +241,6 @@ std::optional<DnsCache::Hit> DnsCache::lookup_stale(std::string_view key,
 }
 
 bool DnsCache::store(std::string_view key, const CachedAnswer& answer,
-                     std::int64_t now_s) {
-  return store(key, CachedAnswer(answer), now_s);
-}
-
-bool DnsCache::store(std::string_view key, CachedAnswer&& answer,
                      std::int64_t now_s) {
   if (!cacheable(answer.rcode)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -124,46 +252,51 @@ bool DnsCache::store(std::string_view key, CachedAnswer&& answer,
   // Attribute the entry to the storing phase (task-graph checkpointing,
   // DESIGN.md §15): one thread-local read, free on the hot path.
   const void* owner = obs::current_tally();
-  Shard& shard = shard_for(key);
+  // Encode key + answer once, outside the shard lock, into per-thread
+  // scratch; the entry's buffer then takes a copy (reusing its capacity).
+  thread_local std::vector<std::uint8_t> bytes;
+  bytes.assign(key.begin(), key.end());
+  encode_cached_answer(answer, bytes);
+
+  const Located at = locate(key);
+  Shard& shard = *at.shard;
   std::uint64_t evicted = 0;
   {
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      // Refresh in place and bump to most-recent.
-      it->second->answer = std::move(answer);
-      it->second->expiry_s = expiry;
-      it->second->owner = owner;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else if (shard.lru.size() >= per_shard_capacity_) {
-      // Incremental eviction, recycling the victim's storage (DESIGN.md §12):
-      // instead of erase+insert — three allocations per store once the shard
-      // is full, the steady state of unique-name workloads — the LRU victim's
-      // list node is spliced to the front, its key string and answer storage
-      // are rebuilt in place, and its index node is re-keyed via extract().
-      // The logical outcome (evict back, insert front) is identical.
-      while (shard.lru.size() > per_shard_capacity_) {
-        // Capacity shrank since the last store: trim the extras the old way.
-        shard.index.erase(shard.lru.back().key);
-        shard.lru.pop_back();
+    std::uint32_t pos = shard.find(key, at.hash);
+    const bool insert = pos == kNil;
+    if (!insert) {
+      shard.unlink(pos);  // refresh in place, then bump to most-recent
+    } else {
+      while (shard.live > per_shard_capacity_) {
+        // merge_entries() may leave a shard over its slice: trim to it.
+        const std::uint32_t victim = shard.tail;
+        shard.unlink(victim);
+        shard.index_erase(victim);
+        shard.slab[victim].next = shard.free;
+        shard.free = victim;
+        --shard.live;
         ++evicted;
       }
-      auto node = shard.index.extract(shard.lru.back().key);
-      shard.lru.splice(shard.lru.begin(), shard.lru, std::prev(shard.lru.end()));
-      ++evicted;
-      Entry& entry = shard.lru.front();
-      entry.key.assign(key);
-      entry.answer = std::move(answer);
-      entry.expiry_s = expiry;
-      entry.owner = owner;
-      node.key().assign(key);
-      node.mapped() = shard.lru.begin();
-      shard.index.insert(std::move(node));
-    } else {
-      shard.lru.push_front(
-          Entry{std::string(key), std::move(answer), expiry, owner});
-      shard.index.emplace(shard.lru.front().key, shard.lru.begin());
+      if (shard.live == per_shard_capacity_) {
+        // Evict the LRU tail; the new entry takes over its slot and buffer.
+        pos = shard.tail;
+        shard.unlink(pos);
+        shard.index_erase(pos);
+        ++evicted;
+      } else {
+        pos = shard.allocate();
+        ++shard.live;
+      }
     }
+    Entry& entry = shard.slab[pos];
+    entry.bytes.assign(bytes.begin(), bytes.end());
+    entry.key_len = static_cast<std::uint32_t>(key.size());
+    entry.hash = at.hash;
+    entry.expiry_s = expiry;
+    entry.owner = owner;
+    if (insert) shard.index_insert(pos);
+    shard.link_front(pos);
   }
   stores_.fetch_add(1, std::memory_order_relaxed);
   obs_store_->add();
@@ -178,7 +311,7 @@ std::size_t DnsCache::size() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->lru.size();
+    total += shard->live;
   }
   return total;
 }
@@ -188,7 +321,7 @@ std::vector<std::size_t> DnsCache::shard_sizes() const {
   sizes.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    sizes.push_back(shard->lru.size());
+    sizes.push_back(shard->live);
   }
   return sizes;
 }
@@ -208,8 +341,10 @@ CacheStats DnsCache::stats() const noexcept {
 void DnsCache::clear() {
   for (auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->lru.clear();
-    shard->index.clear();
+    shard->slab = {};
+    shard->index = {};
+    shard->head = shard->tail = shard->free = kNil;
+    shard->live = 0;
   }
 }
 
@@ -217,27 +352,42 @@ std::vector<ExportedEntry> DnsCache::export_entries(const void* owner) const {
   std::vector<ExportedEntry> out;
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const Entry& entry : shard->lru)
-      if (entry.owner == owner)
-        out.push_back(ExportedEntry{entry.key, entry.answer, entry.expiry_s});
+    for (std::uint32_t pos = shard->head; pos != kNil;
+         pos = shard->slab[pos].next) {
+      const Entry& entry = shard->slab[pos];
+      if (entry.owner != owner) continue;
+      const auto wire = entry.wire();
+      out.push_back(ExportedEntry{std::string(entry.key()),
+                                  {wire.begin(), wire.end()},
+                                  entry.expiry_s});
+    }
   }
   return out;
 }
 
 void DnsCache::merge_entries(const std::vector<ExportedEntry>& entries) {
   const void* owner = obs::current_tally();
-  for (const auto& entry : entries) {
-    Shard& shard = shard_for(entry.key);
+  for (const auto& exported : entries) {
+    const Located at = locate(exported.key);
+    Shard& shard = *at.shard;
     const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.index.find(entry.key);
-    if (it != shard.index.end()) {
-      it->second->answer = entry.answer;
-      it->second->expiry_s = entry.expiry_s;
-      it->second->owner = owner;
-    } else {
-      shard.lru.push_back(
-          Entry{entry.key, entry.answer, entry.expiry_s, owner});
-      shard.index[entry.key] = std::prev(shard.lru.end());
+    std::uint32_t pos = shard.find(exported.key, at.hash);
+    const bool insert = pos == kNil;
+    if (insert) {
+      pos = shard.allocate();
+      ++shard.live;
+    }
+    Entry& entry = shard.slab[pos];
+    entry.bytes.assign(exported.key.begin(), exported.key.end());
+    entry.bytes.insert(entry.bytes.end(), exported.wire.begin(),
+                       exported.wire.end());
+    entry.key_len = static_cast<std::uint32_t>(exported.key.size());
+    entry.hash = at.hash;
+    entry.expiry_s = exported.expiry_s;
+    entry.owner = owner;
+    if (insert) {
+      shard.index_insert(pos);
+      shard.link_back(pos);
     }
   }
 }

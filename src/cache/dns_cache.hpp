@@ -11,8 +11,16 @@
 //   * Sharding — keys hash (fnv1a) onto a power-of-two shard array; each
 //     shard holds its own mutex, hash index and LRU list, so concurrent
 //     sessions contend only when they collide on a shard.
+//   * Storage — each shard is a flat slab of entries. An entry holds its key
+//     and its answer as one byte buffer: the key, then the answer as an
+//     uncompressed DNS wire message (the cached-answer codec below, which is
+//     also the checkpoint journal's form). LRU links are u32 slab positions,
+//     and an open-addressing index of slab positions is probed with the high
+//     half of the same fnv1a hash that picked the shard. Lookups decode the
+//     records straight into caller-owned storage.
 //   * Eviction — when a shard reaches its capacity slice it evicts its
-//     least-recently-used entry, one at a time. A full cache degrades
+//     least-recently-used entry, one at a time, and the new entry takes over
+//     the victim's slab slot and byte buffer. A full cache degrades
 //     marginally (cold tail entries churn) instead of collapsing to a 0%
 //     hit rate the way flush-on-full did.
 //   * TTL — positive entries live for the minimum TTL across the answer's
@@ -35,13 +43,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/message.hpp"
@@ -78,6 +85,13 @@ struct CacheConfig {
   [[nodiscard]] static CacheConfig from_env(CacheConfig fallback);
 };
 
+/// Negatively cacheable content per RFC 2308: name error or no data.
+[[nodiscard]] inline bool negative_answer(
+    dns::RCode rcode, const std::vector<dns::ResourceRecord>& answers) noexcept {
+  return rcode == dns::RCode::kNxDomain ||
+         (rcode == dns::RCode::kNoError && answers.empty());
+}
+
 /// The cached payload: what a resolver needs to rebuild a response. Mirrors
 /// resolver::Answer without depending on the resolver library (the resolver
 /// depends on this module, not the other way around).
@@ -85,17 +99,29 @@ struct CachedAnswer {
   dns::RCode rcode = dns::RCode::kNoError;
   std::vector<dns::ResourceRecord> answers;
 
-  /// Negatively cacheable content per RFC 2308: name error or no data.
   [[nodiscard]] bool negative() const noexcept {
-    return rcode == dns::RCode::kNxDomain ||
-           (rcode == dns::RCode::kNoError && answers.empty());
+    return negative_answer(rcode, answers);
   }
 };
+
+/// The one codec for a cached answer (DESIGN.md §10, §13): an uncompressed
+/// RFC 1035 message whose header carries qr and the rcode and whose only
+/// section is the answer records. Cache entries hold it and checkpoint
+/// journals carry the same bytes. Appends to `out`.
+void encode_cached_answer(const CachedAnswer& answer,
+                          std::vector<std::uint8_t>& out);
+
+/// Decode `wire` into `rcode` and `answers`, reusing the vector's records
+/// (names, rdata storage) so a warmed vector decodes without allocating.
+/// Returns false on malformed input or on any section other than answers.
+[[nodiscard]] bool decode_cached_answer(std::span<const std::uint8_t> wire,
+                                        dns::RCode& rcode,
+                                        std::vector<dns::ResourceRecord>& answers);
 
 /// One cache entry in checkpoint-export form (DESIGN.md §13).
 struct ExportedEntry {
   std::string key;
-  CachedAnswer answer;
+  std::vector<std::uint8_t> wire;  // encode_cached_answer() bytes
   std::int64_t expiry_s = 0;
 };
 
@@ -118,32 +144,33 @@ class DnsCache {
   DnsCache& operator=(const DnsCache&) = delete;
 
   struct Hit {
-    CachedAnswer answer;
+    dns::RCode rcode = dns::RCode::kNoError;
     bool stale = false;  // true only from lookup_stale()
   };
 
-  /// Fresh lookup: returns the entry iff it exists and now_s is strictly
-  /// before its expiry. A hit refreshes the entry's LRU position; a lookup
-  /// of an expired entry does not (expired entries age out of the shard).
-  [[nodiscard]] std::optional<Hit> lookup(std::string_view key,
-                                          std::int64_t now_s);
+  /// Fresh lookup: answers iff the entry exists and now_s is strictly before
+  /// its expiry, decoding its records into `answers` (storage reused; left
+  /// untouched on a miss). A hit refreshes the entry's LRU position; a
+  /// lookup of an expired entry does not (expired entries age out of the
+  /// shard).
+  [[nodiscard]] std::optional<Hit> lookup(
+      std::string_view key, std::int64_t now_s,
+      std::vector<dns::ResourceRecord>& answers);
 
-  /// RFC 8767 stale lookup: returns an *expired* entry that lapsed no more
-  /// than max_stale_s ago. Also answers fresh entries (a caller that lost
-  /// its upstream should still get the best local answer). Returns nullopt
-  /// whenever serve_stale is disabled.
-  [[nodiscard]] std::optional<Hit> lookup_stale(std::string_view key,
-                                                std::int64_t now_s);
+  /// RFC 8767 stale lookup: answers from an *expired* entry that lapsed no
+  /// more than max_stale_s ago. Also answers fresh entries (a caller that
+  /// lost its upstream should still get the best local answer). Returns
+  /// nullopt whenever serve_stale is disabled. Decodes like lookup().
+  [[nodiscard]] std::optional<Hit> lookup_stale(
+      std::string_view key, std::int64_t now_s,
+      std::vector<dns::ResourceRecord>& answers);
 
   /// Store (insert or refresh) if the answer is cacheable; SERVFAIL and
   /// other error rcodes are rejected per RFC 2308. Returns whether stored.
+  /// The answer is encoded once, outside the shard lock; an evicting store
+  /// reuses the victim's slab slot and byte buffer.
   bool store(std::string_view key, const CachedAnswer& answer,
              std::int64_t now_s);
-
-  /// Move-in overload for hot paths (DESIGN.md §12): the answer's record
-  /// storage is stolen into the cache entry instead of copied. Identical
-  /// semantics and tallies otherwise.
-  bool store(std::string_view key, CachedAnswer&& answer, std::int64_t now_s);
 
   /// Whether an rcode may be cached at all.
   [[nodiscard]] static bool cacheable(dns::RCode rcode) noexcept {
@@ -179,37 +206,62 @@ class DnsCache {
   /// Additive restore for owner-filtered captures: existing keys refresh in
   /// place (keeping their LRU position), new keys append least-recent in
   /// the given order. Merged entries are attributed to the calling thread's
-  /// obs::current_tally(), exactly as if it had stored them.
+  /// obs::current_tally(), exactly as if it had stored them. The wire bytes
+  /// are taken as they are: callers pass export_entries() output or bytes
+  /// that decode_cached_answer() accepted (the journal decoder checks them).
   void merge_entries(const std::vector<ExportedEntry>& entries);
 
  private:
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+
   struct Entry {
-    std::string key;
-    CachedAnswer answer;
+    /// The key, then the answer's encode_cached_answer() bytes.
+    std::vector<std::uint8_t> bytes;
     std::int64_t expiry_s = 0;
     /// Attribution token of the last store (obs::current_tally() of the
     /// storing thread; null outside any phase). Never dereferenced — only
     /// compared by export_entries(owner).
     const void* owner = nullptr;
-  };
-  /// Transparent hashing so lookups/stores probe the index with the caller's
-  /// string_view key directly — no temporary std::string per operation.
-  struct KeyHash {
-    using is_transparent = void;
-    [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
+    std::uint32_t hash = 0;  // high half of the key's fnv1a: index probe
+    std::uint32_t key_len = 0;
+    std::uint32_t prev = kNil;  // towards the most recently used
+    std::uint32_t next = kNil;  // towards the LRU tail; free-list link
+
+    [[nodiscard]] std::string_view key() const noexcept {
+      return {reinterpret_cast<const char*>(bytes.data()), key_len};
+    }
+    [[nodiscard]] std::span<const std::uint8_t> wire() const noexcept {
+      return std::span<const std::uint8_t>(bytes).subspan(key_len);
     }
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator, KeyHash,
-                       std::equal_to<>>
-        index;
+    std::vector<Entry> slab;
+    /// Open addressing, linear probing: slab position + 1, 0 = empty. The
+    /// size is a power of two holding at most half live slots.
+    std::vector<std::uint32_t> index;
+    std::uint32_t head = kNil;  // most recently used
+    std::uint32_t tail = kNil;  // least recently used
+    std::uint32_t free = kNil;  // slab slots released by over-capacity trims
+    std::size_t live = 0;
+
+    [[nodiscard]] std::uint32_t find(std::string_view key,
+                                     std::uint32_t hash) const noexcept;
+    void index_insert(std::uint32_t pos);
+    void index_erase(std::uint32_t pos) noexcept;
+    void unlink(std::uint32_t pos) noexcept;
+    void link_front(std::uint32_t pos) noexcept;
+    void link_back(std::uint32_t pos) noexcept;
+    [[nodiscard]] std::uint32_t allocate();
+  };
+  /// Key hash for one operation: the low bits pick the shard, the high half
+  /// probes the shard's index.
+  struct Located {
+    Shard* shard;
+    std::uint32_t hash;
   };
 
-  [[nodiscard]] Shard& shard_for(std::string_view key) noexcept;
-  [[nodiscard]] const Shard& shard_for(std::string_view key) const noexcept;
+  [[nodiscard]] Located locate(std::string_view key) const noexcept;
 
   CacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -36,27 +36,6 @@ void encode_proxy_cursor(util::ByteWriter& w, const proxy::ProxyCursor& c) {
   return c;
 }
 
-// Cached answers travel as RFC 1035 wire messages (rcode in the header,
-// records in the answer section) — the existing codec already round-trips
-// every rdata shape the resolvers produce.
-void encode_cached_answer(util::ByteWriter& w, const cache::CachedAnswer& a) {
-  dns::Message m;
-  m.header.qr = true;
-  m.header.rcode = a.rcode;
-  m.answers = a.answers;
-  w.blob(m.encode(/*compress=*/false));
-}
-
-[[nodiscard]] cache::CachedAnswer decode_cached_answer(util::ByteReader& r) {
-  const std::vector<std::uint8_t> wire = r.blob();
-  auto m = dns::Message::decode(wire);
-  if (!m) throw util::CodecError("cache entry: malformed wire message");
-  cache::CachedAnswer a;
-  a.rcode = m->header.rcode;
-  a.answers = std::move(m->answers);
-  return a;
-}
-
 [[nodiscard]] std::string phase_key(const std::string& phase) {
   return "phase:" + phase;
 }
@@ -84,7 +63,7 @@ void encode_cursor(util::ByteWriter& w, const WorldCursor& cursor) {
     for (const auto& entry : backend_cache) {
       w.str(entry.key);
       w.i64(entry.expiry_s);
-      encode_cached_answer(w, entry.answer);
+      w.blob(entry.wire);  // the cache's own bytes (cache::encode_cached_answer)
     }
   }
 }
@@ -95,6 +74,10 @@ WorldCursor decode_cursor(util::ByteReader& r) {
   cursor.cn_platform = decode_proxy_cursor(r);
   const std::uint32_t n_backends = r.count(4);
   cursor.caches.reserve(n_backends);
+  // Cache entries restore as the bytes they were saved as, but only after
+  // they decode: a corrupt journal fails closed here, never in a lookup.
+  dns::RCode rcode = dns::RCode::kNoError;
+  std::vector<dns::ResourceRecord> records;
   for (std::uint32_t b = 0; b < n_backends; ++b) {
     std::vector<cache::ExportedEntry> backend_cache;
     const std::uint32_t n_entries = r.count(16);
@@ -103,7 +86,9 @@ WorldCursor decode_cursor(util::ByteReader& r) {
       cache::ExportedEntry entry;
       entry.key = r.str();
       entry.expiry_s = r.i64();
-      entry.answer = decode_cached_answer(r);
+      entry.wire = r.blob();
+      if (!cache::decode_cached_answer(entry.wire, rcode, records))
+        throw util::CodecError("cache entry: malformed wire message");
       backend_cache.push_back(std::move(entry));
     }
     cursor.caches.push_back(std::move(backend_cache));

@@ -186,6 +186,49 @@ bool decode_rr_into(WireReader& r, ResourceRecord& rr) {
   return decode_rdata_into(r, rr.type, rdlength, rr.rdata);
 }
 
+void encode_message_into(WireWriter& w, const Header& header,
+                         std::span<const Question> questions,
+                         std::span<const ResourceRecord> answers,
+                         std::span<const ResourceRecord> authorities,
+                         std::span<const ResourceRecord> additionals,
+                         bool compress) {
+  const std::size_t base = w.size();  // compression offsets are message-relative
+  w.u16(header.id);
+  w.u16(flags_word(header));
+  w.u16(static_cast<std::uint16_t>(questions.size()));
+  w.u16(static_cast<std::uint16_t>(answers.size()));
+  w.u16(static_cast<std::uint16_t>(authorities.size()));
+  w.u16(static_cast<std::uint16_t>(additionals.size()));
+
+  NameCompressor shared(base);
+  for (const auto& q : questions) {
+    if (compress) {
+      shared.encode(w, q.name);
+    } else {
+      NameCompressor no_dict(base);
+      no_dict.encode(w, q.name);
+    }
+    w.u16(static_cast<std::uint16_t>(q.type));
+    w.u16(static_cast<std::uint16_t>(q.klass));
+  }
+  const auto encode_section = [&](std::span<const ResourceRecord> section) {
+    for (const auto& rr : section) {
+      if (compress) {
+        encode_rr(w, shared, rr);
+      } else {
+        // "Uncompressed" still shares a dictionary *within* the record, so a
+        // SOA rname may point into the record's owner name — legacy encoder
+        // behaviour that the golden corpus locks in.
+        NameCompressor no_dict(base);
+        encode_rr(w, no_dict, rr);
+      }
+    }
+  };
+  encode_section(answers);
+  encode_section(authorities);
+  encode_section(additionals);
+}
+
 }  // namespace
 
 const NameCompressor::Entry* NameCompressor::find(const Name& name,
@@ -321,41 +364,14 @@ std::vector<std::uint8_t> Message::encode(bool compress) const {
 }
 
 void Message::encode_into(WireWriter& w, bool compress) const {
-  const std::size_t base = w.size();  // compression offsets are message-relative
-  w.u16(header.id);
-  w.u16(flags_word(header));
-  w.u16(static_cast<std::uint16_t>(questions.size()));
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  w.u16(static_cast<std::uint16_t>(authorities.size()));
-  w.u16(static_cast<std::uint16_t>(additionals.size()));
+  encode_message_into(w, header, questions, answers, authorities, additionals,
+                      compress);
+}
 
-  NameCompressor shared(base);
-  for (const auto& q : questions) {
-    if (compress) {
-      shared.encode(w, q.name);
-    } else {
-      NameCompressor no_dict(base);
-      no_dict.encode(w, q.name);
-    }
-    w.u16(static_cast<std::uint16_t>(q.type));
-    w.u16(static_cast<std::uint16_t>(q.klass));
-  }
-  const auto encode_section = [&](const std::vector<ResourceRecord>& section) {
-    for (const auto& rr : section) {
-      if (compress) {
-        encode_rr(w, shared, rr);
-      } else {
-        // "Uncompressed" still shares a dictionary *within* the record, so a
-        // SOA rname may point into the record's owner name — legacy encoder
-        // behaviour that the golden corpus locks in.
-        NameCompressor no_dict(base);
-        encode_rr(w, no_dict, rr);
-      }
-    }
-  };
-  encode_section(answers);
-  encode_section(authorities);
-  encode_section(additionals);
+void encode_answers_into(WireWriter& w, const Header& header,
+                         std::span<const ResourceRecord> answers,
+                         bool compress) {
+  encode_message_into(w, header, {}, answers, {}, {}, compress);
 }
 
 std::optional<Message> Message::decode(std::span<const std::uint8_t> wire) {

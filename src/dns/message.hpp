@@ -129,6 +129,14 @@ struct Message {
 class WireWriter;
 class WireReader;
 
+/// Encode a message made of `header` and an answer section alone (no
+/// question, authority or additional records), with the bytes a Message
+/// holding just those would encode to, straight from the caller's records —
+/// no copy into a Message. The resolver cache's entry form (DESIGN.md §10).
+void encode_answers_into(WireWriter& writer, const Header& header,
+                         std::span<const ResourceRecord> answers,
+                         bool compress = true);
+
 /// RFC 1035 name compression dictionary shared across one message encode.
 /// Maps name suffixes to the message-relative wire offset of their first
 /// occurrence; offsets beyond 0x3FFF are not recorded (pointers are 14-bit).

@@ -1,5 +1,7 @@
 #include "resolver/recursive.hpp"
 
+#include <charconv>
+
 #include "dns/query.hpp"
 #include "obs/metrics.hpp"
 
@@ -77,14 +79,22 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
   }
   const auto& q = query.questions.front();
 
+  // Per-thread cache-key scratch, "<canonical-qname>/<qtype>": keys are
+  // consumed within this call. The canonical prefix also probes the zone
+  // index, so the zone is looked up once per query.
+  thread_local std::string key;
+  q.name.canonical_into(key);
+  const Zone* zone = universe_->find_zone(q.name, key);
+
   // Popular zones are warm in every resolver's cache: answer without touching
   // shared state, so the outcome never depends on other sessions.
-  if (config_.enable_cache && universe_->popular(q.name)) {
+  if (config_.enable_cache && zone != nullptr && zone->popular) {
     ++hits_;
     static obs::Counter& warm_hits =
         obs::MetricsRegistry::global().counter("cache.lookup.warm_hit");
     warm_hits.add();
-    const Answer answer = universe_->authoritative_answer(q.name, q.type, date);
+    const Answer answer =
+        universe_->authoritative_answer(zone, q.name, q.type, date);
     response_skeleton_into(out, query, answer.rcode);
     out.response.answers = answer.answers;
     out.processing =
@@ -92,19 +102,17 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
     return;
   }
 
-  // Per-thread cache-key scratch: keys are consumed within this call (the
-  // cache copies the key only when inserting a new entry).
-  thread_local std::string key;
-  q.name.canonical_into(key);
+  char qtype[8];
+  const char* qtype_end =
+      std::to_chars(qtype, qtype + sizeof qtype, static_cast<int>(q.type)).ptr;
   key.push_back('/');
-  key.append(std::to_string(static_cast<int>(q.type)));
+  key.append(qtype, static_cast<std::size_t>(qtype_end - qtype));
   const std::int64_t now_s = to_seconds(date);
 
   if (config_.enable_cache) {
-    if (const auto hit = cache_.lookup(key, now_s)) {
+    if (const auto hit = cache_.lookup(key, now_s, out.response.answers)) {
       ++hits_;
-      response_skeleton_into(out, query, hit->answer.rcode);
-      out.response.answers = hit->answer.answers;
+      response_skeleton_into(out, query, hit->rcode);
       out.processing =
           sim::Millis{rng.uniform(config_.hit_min_ms, config_.hit_max_ms)};
       return;
@@ -131,13 +139,13 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
           registry.counter("resolver.upstream.fault");
       fault_counter.add();
       if (config_.enable_cache && config_.cache.serve_stale) {
-        if (const auto stale = cache_.lookup_stale(key, now_s)) {
+        if (const auto stale =
+                cache_.lookup_stale(key, now_s, out.response.answers)) {
           ++stale_;
           static obs::Counter& stale_counter =
               registry.counter("resolver.upstream.stale_served");
           stale_counter.add();
-          response_skeleton_into(out, query, stale->answer.rcode);
-          out.response.answers = stale->answer.answers;
+          response_skeleton_into(out, query, stale->rcode);
           out.processing =
               sim::Millis{rng.uniform(config_.hit_min_ms, config_.hit_max_ms)};
           return;
@@ -154,7 +162,7 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
     }
   }
 
-  auto upstream = universe_->query(q.name, q.type, pop, date, rng);
+  auto upstream = universe_->query(zone, q.name, q.type, pop, date, rng);
   response_skeleton_into(out, query, upstream.answer.rcode);
   out.response.answers = upstream.answer.answers;
   out.processing =
@@ -163,7 +171,7 @@ void RecursiveBackend::resolve_into(const dns::Message& query,
   if (config_.enable_cache) {
     // store() rejects SERVFAIL and other uncacheable rcodes itself; the old
     // map cached them for a day, so one upstream hiccup kept answering. The
-    // upstream answer's record storage is donated to the cache entry.
+    // entry keeps the answer's wire encoding, not the records themselves.
     (void)cache_.store(key,
                        cache::CachedAnswer{upstream.answer.rcode,
                                            std::move(upstream.answer.answers)},

@@ -1,5 +1,7 @@
 #include "resolver/universe.hpp"
 
+#include <algorithm>
+
 #include "util/rng.hpp"
 
 namespace encdns::resolver {
@@ -10,70 +12,77 @@ Answer Answer::a_record(const dns::Name& name, util::Ipv4 addr, std::uint32_t tt
   return a;
 }
 
-void AuthoritativeUniverse::add_zone(Zone zone) { zones_.push_back(std::move(zone)); }
+void AuthoritativeUniverse::add_zone(Zone zone) {
+  apex_index_.try_emplace(zone.apex.canonical(), zones_.size());
+  max_apex_labels_ = std::max(max_apex_labels_, zone.apex.label_count());
+  zones_.push_back(std::move(zone));
+}
 
 const Zone* AuthoritativeUniverse::find_zone(const dns::Name& qname) const {
-  const Zone* best = nullptr;
-  std::size_t best_labels = 0;
-  for (const auto& zone : zones_) {
-    if (!qname.is_subdomain_of(zone.apex)) continue;
-    if (best == nullptr || zone.apex.label_count() > best_labels) {
-      best = &zone;
-      best_labels = zone.apex.label_count();
+  return find_zone(qname, qname.canonical());
+}
+
+const Zone* AuthoritativeUniverse::find_zone(const dns::Name& qname,
+                                             std::string_view canonical) const {
+  // Walk the label-boundary suffixes of "l0.l1.….ln." longest first, from
+  // the longest any apex has; the root apex is ".". A suffix string can
+  // equal an apex whose labels differ (a wire label may contain a dot), so
+  // every index hit is confirmed label by label.
+  const auto& labels = qname.labels();
+  const std::size_t first =
+      labels.size() > max_apex_labels_ ? labels.size() - max_apex_labels_ : 0;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < first; ++i) offset += labels[i].size() + 1;
+  for (std::size_t i = first; i <= labels.size(); ++i) {
+    const std::string_view suffix =
+        i < labels.size() ? canonical.substr(offset) : std::string_view(".");
+    if (const auto it = apex_index_.find(suffix); it != apex_index_.end()) {
+      const Zone& zone = zones_[it->second];
+      if (qname.is_subdomain_of(zone.apex)) return &zone;
     }
+    if (i < labels.size()) offset += labels[i].size() + 1;
   }
-  return best;
+  return nullptr;
 }
 
-bool AuthoritativeUniverse::popular(const dns::Name& qname) const {
-  const Zone* zone = find_zone(qname);
-  return zone != nullptr && zone->popular;
+Answer AuthoritativeUniverse::unknown_answer(const dns::Name& qname,
+                                             dns::RrType type) const {
+  if (!synthesize_unknown_) return Answer::nxdomain();
+  // Deterministic pseudo-content: the same name always maps to the same
+  // address, so repeated background lookups are cache-coherent.
+  if (type != dns::RrType::kA) return Answer{};
+  const std::uint64_t h = util::fnv1a(qname.canonical());
+  return Answer::a_record(
+      qname, util::Ipv4{static_cast<std::uint32_t>(0x0B000000u | (h & 0x00FFFFFF))});
 }
 
-Answer AuthoritativeUniverse::authoritative_answer(const dns::Name& qname,
+Answer AuthoritativeUniverse::authoritative_answer(const Zone* zone,
+                                                   const dns::Name& qname,
                                                    dns::RrType type,
                                                    const util::Date& date) const {
-  const Zone* zone = find_zone(qname);
-  if (zone != nullptr) return zone->answer_fn(qname, type, date);
-  if (synthesize_unknown_) {
-    const std::uint64_t h = util::fnv1a(qname.canonical());
-    if (type == dns::RrType::kA) {
-      return Answer::a_record(
-          qname,
-          util::Ipv4{static_cast<std::uint32_t>(0x0B000000u | (h & 0x00FFFFFF))});
-    }
-    return Answer{};
-  }
-  return Answer::nxdomain();
+  return zone != nullptr ? zone->answer_fn(qname, type, date)
+                         : unknown_answer(qname, type);
 }
 
 AuthoritativeUniverse::Upstream AuthoritativeUniverse::query(
-    const dns::Name& qname, dns::RrType type, const net::Location& from,
-    const util::Date& date, util::Rng& rng) const {
+    const Zone* zone, const dns::Name& qname, dns::RrType type,
+    const net::Location& from, const util::Date& date, util::Rng& rng) const {
   Upstream up;
-  const Zone* zone = find_zone(qname);
+  up.answer = authoritative_answer(zone, qname, type, date);
 
   net::GeoPoint ns_geo;
   sim::Millis extra{0.0};
   double extra_tail = 0.0;
   if (zone != nullptr) {
-    up.answer = zone->answer_fn(qname, type, date);
     ns_geo = zone->ns_location.geo;
     extra = zone->extra_latency;
     extra_tail = zone->extra_tail_probability;
   } else if (synthesize_unknown_) {
-    // Deterministic pseudo-content: the same name always maps to the same
-    // address, so repeated background lookups are cache-coherent.
-    const std::uint64_t h = util::fnv1a(qname.canonical());
-    if (type == dns::RrType::kA) {
-      up.answer = Answer::a_record(
-          qname, util::Ipv4{static_cast<std::uint32_t>(0x0B000000u | (h & 0x00FFFFFF))});
-    }
     // Synthesized nameservers are scattered: derive a stable location.
+    const std::uint64_t h = util::fnv1a(qname.canonical());
     ns_geo.lat = static_cast<double>((h >> 24) % 120) - 60.0;
     ns_geo.lon = static_cast<double>((h >> 32) % 360) - 180.0;
   } else {
-    up.answer = Answer::nxdomain();
     ns_geo = from.geo;  // negative answer synthesized nearby (root/TLD cache)
   }
 

@@ -11,6 +11,8 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dns/message.hpp"
@@ -90,27 +92,51 @@ class AuthoritativeUniverse {
     sim::Millis latency{0.0};  // resolver-observed cold recursion time
   };
   /// Resolve `qname` authoritatively as seen from a resolver at `from`.
-  [[nodiscard]] Upstream query(const dns::Name& qname, dns::RrType type,
-                               const net::Location& from, const util::Date& date,
-                               util::Rng& rng) const;
+  /// `zone` is find_zone(qname), looked up once by the caller.
+  [[nodiscard]] Upstream query(const Zone* zone, const dns::Name& qname,
+                               dns::RrType type, const net::Location& from,
+                               const util::Date& date, util::Rng& rng) const;
 
-  /// The zone owning `qname` (longest-suffix match), if any.
+  /// The zone owning `qname` (longest-suffix match; the first zone added
+  /// wins between equal apexes), if any.
   [[nodiscard]] const Zone* find_zone(const dns::Name& qname) const;
 
-  /// True if `qname` belongs to a zone marked popular.
-  [[nodiscard]] bool popular(const dns::Name& qname) const;
+  /// Same, for a caller that already holds `qname.canonical()` (the
+  /// resolver builds its cache key from it): the apex index is probed with
+  /// the canonical form's label-boundary suffixes, longest first.
+  [[nodiscard]] const Zone* find_zone(const dns::Name& qname,
+                                      std::string_view canonical) const;
 
-  /// The authoritative answer content for `qname`, with no latency draw and
-  /// no rng: a pure function of (name, type, date). Used for cache-warm
-  /// answers, where only content matters.
-  [[nodiscard]] Answer authoritative_answer(const dns::Name& qname,
+  /// The authoritative answer content for `qname` in `zone`
+  /// (find_zone(qname)), with no latency draw and no rng: a pure function
+  /// of (name, type, date). Used for cache-warm answers, where only content
+  /// matters.
+  [[nodiscard]] Answer authoritative_answer(const Zone* zone,
+                                            const dns::Name& qname,
                                             dns::RrType type,
                                             const util::Date& date) const;
 
   [[nodiscard]] std::size_t zone_count() const noexcept { return zones_.size(); }
 
  private:
+  /// Synthesized content for names no zone owns: a hash-derived A record
+  /// when synthesize_unknown_ is set (NXDOMAIN otherwise).
+  [[nodiscard]] Answer unknown_answer(const dns::Name& qname,
+                                      dns::RrType type) const;
+
+  /// Transparent hashing: the index is probed with string_view suffixes.
+  struct ApexHash {
+    using is_transparent = void;
+    [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   std::vector<Zone> zones_;
+  /// Canonical apex -> position in zones_ of the first zone with that apex.
+  std::unordered_map<std::string, std::size_t, ApexHash, std::equal_to<>>
+      apex_index_;
+  std::size_t max_apex_labels_ = 0;
   bool synthesize_unknown_ = true;
   RecursionLatencyModel latency_;
 };

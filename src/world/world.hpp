@@ -6,11 +6,11 @@
 // dataset, and vantage-point sampling for the two proxy platforms.
 #pragma once
 
+#include <bitset>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -151,7 +151,7 @@ class World {
   class Background853Sweep {
    public:
     [[nodiscard]] bool open(util::Ipv4 addr) const {
-      if (!routable_->contains(addr.value() >> 16)) return false;
+      if (!routable_->test(addr.value() >> 16)) return false;
       const std::uint64_t h1 = util::mix64(addr.value() ^ stable_salt_);
       if (static_cast<double>(h1 % 1000000) < stable_threshold_) return true;
       const std::uint64_t h2 = util::mix64(addr.value() ^ churn_salt_);
@@ -160,7 +160,7 @@ class World {
 
    private:
     friend class World;
-    const std::unordered_set<std::uint32_t>* routable_ = nullptr;
+    const std::bitset<65536>* routable_ = nullptr;
     std::uint64_t stable_salt_ = 0;
     std::uint64_t churn_salt_ = 0;
     double stable_threshold_ = 0.0;
@@ -268,7 +268,7 @@ class World {
   resolver::AuthoritativeUniverse universe_;
   Deployments deployments_;
   std::vector<util::Cidr> scan_prefixes_;
-  std::unordered_set<std::uint32_t> routable_high16_;  // /16 fast lookup
+  std::bitset<65536> routable_high16_;  // /16 fast lookup, by high 16 bits
   std::uint64_t background_salt_ = 0;
 
   dns::Name probe_apex_;

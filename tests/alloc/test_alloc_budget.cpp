@@ -2,7 +2,8 @@
 //
 // This binary replaces global operator new with a counting allocator and
 // pins per-query steady-state allocation budgets for the Do53/DoT/DoH
-// clients. Two kinds of pins:
+// clients, and the resolver cache's per-operation allocations and bytes per
+// live entry (DESIGN.md §10). Two kinds of pins:
 //
 //  - Relative: the reworked build+encode+frame hot path must allocate at
 //    least 5x less than the legacy make_query+encode+frame_stream path,
@@ -19,34 +20,48 @@
 // test skips — tools/check.sh runs the plain pass first, which enforces
 // the budgets.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 // ---------------------------------------------------------------------------
-// Counting allocator: one atomic bump per operator new.
+// Counting allocator: one atomic bump per operator new, plus a tally of the
+// live heap bytes (malloc_usable_size, so allocator rounding is included).
 
 namespace {
 std::atomic<unsigned long long> g_alloc_count{0};
+std::atomic<long long> g_live_bytes{0};
+
+void* counted_alloc(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
+#include "cache/dns_cache.hpp"
 #include "client/do53.hpp"
 #include "client/doh.hpp"
 #include "client/dot.hpp"
@@ -310,6 +325,90 @@ TEST_F(AllocBudgetTest, DohDiscoveryPerCheckBudget) {
                  static_cast<int>(per_check * 10));
   EXPECT_LE(per_check, kBudgetDohDiscoveryPerCheck);
   EXPECT_LE(per_check * 4.0, kPreChangeDohDiscoveryAllocs);
+}
+
+// --- resolver cache (DESIGN.md §10) -----------------------------------------
+//
+// Entries are flat slab slots holding key + wire-form answer in one buffer.
+// A warm hit decodes into the caller's records without allocating, an
+// evicting store reuses the victim's slot and buffer, and a live entry costs
+// a bounded number of heap bytes. The list+map layout this replaced held a
+// one-record A answer in ~621 B (RSS probe: 112 B ResourceRecord,
+// label-vector Name, list node, map node, two key copies).
+
+/// Study-shaped cache traffic: probe-name keys and one-record A answers.
+struct CacheWorkload {
+  std::vector<std::string> keys;
+  std::vector<cache::CachedAnswer> answers;
+};
+
+CacheWorkload cache_workload(std::size_t count, std::uint64_t seed) {
+  CacheWorkload workload;
+  workload.keys.reserve(count);
+  workload.answers.reserve(count);
+  for (const auto& name : probe_names(count, seed)) {
+    workload.keys.push_back(name.canonical() + "/1");
+    cache::CachedAnswer answer;
+    answer.answers.push_back(
+        dns::ResourceRecord::a(name, util::Ipv4(45, 90, 77, 99), 60));
+    workload.answers.push_back(std::move(answer));
+  }
+  return workload;
+}
+
+// Post-change measurement (glibc, -O2): 0 allocations per warm hit, 0 per
+// evicting store, 208 live heap bytes per entry.
+constexpr double kBudgetCacheBytesPerEntry = 260.0;
+
+TEST_F(AllocBudgetTest, CacheWarmHitAllocatesNothing) {
+  const CacheWorkload workload = cache_workload(64, 15);
+  cache::DnsCache cache;
+  for (std::size_t i = 0; i < workload.keys.size(); ++i)
+    ASSERT_TRUE(cache.store(workload.keys[i], workload.answers[i], 0));
+  std::vector<dns::ResourceRecord> answers;
+  std::size_t misses = 0;
+  const double per_hit = allocs_per_query([&](int i) {
+    const auto& key = workload.keys[static_cast<std::size_t>(i) % 64];
+    if (!cache.lookup(key, 1, answers).has_value()) ++misses;
+  });
+  EXPECT_EQ(misses, 0u);
+  EXPECT_EQ(per_hit, 0.0);
+}
+
+TEST_F(AllocBudgetTest, CacheEvictingStoreReusesVictimStorage) {
+  cache::CacheConfig config;
+  config.shards = 1;
+  config.max_entries = 64;
+  cache::DnsCache cache(config);
+  // Equal-length probe names, so every victim's buffer fits its successor.
+  const CacheWorkload workload = cache_workload(kWarmup + kMeasured + 64, 16);
+  for (std::size_t i = 0; i < 64; ++i)
+    ASSERT_TRUE(cache.store(workload.keys[i], workload.answers[i], 0));
+  std::size_t rejected = 0;
+  const double per_store = allocs_per_query([&](int i) {
+    const std::size_t at = 64 + static_cast<std::size_t>(i);
+    if (!cache.store(workload.keys[at], workload.answers[at], 0)) ++rejected;
+  });
+  EXPECT_EQ(rejected, 0u);
+  EXPECT_EQ(cache.stats().evictions,
+            static_cast<std::uint64_t>(kWarmup + kMeasured));
+  EXPECT_EQ(per_store, 0.0);
+}
+
+TEST_F(AllocBudgetTest, CacheBytesPerLiveEntry) {
+  constexpr std::size_t kEntries = 20000;
+  const CacheWorkload workload = cache_workload(kEntries, 17);
+  cache::DnsCache cache;  // study defaults: 16 shards, 200000 entries
+  const long long before = g_live_bytes.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kEntries; ++i)
+    (void)cache.store(workload.keys[i], workload.answers[i], 0);
+  const long long after = g_live_bytes.load(std::memory_order_relaxed);
+  ASSERT_EQ(cache.size(), kEntries);
+  const double per_entry =
+      static_cast<double>(after - before) / static_cast<double>(kEntries);
+  RecordProperty("cache_bytes_per_entry", static_cast<int>(per_entry));
+  std::printf("resolver cache: %.1f live heap bytes per entry\n", per_entry);
+  EXPECT_LE(per_entry, kBudgetCacheBytesPerEntry);
 }
 
 TEST_F(AllocBudgetTest, ArenaLeasesReuseBuffersAfterWarmup) {

@@ -247,7 +247,9 @@ WorldCursor sample_cursor() {
   cache::ExportedEntry entry;
   entry.key = "example.com|A|853";
   entry.expiry_s = 1234567;
-  entry.answer.rcode = dns::RCode::kNxDomain;
+  cache::CachedAnswer answer;
+  answer.rcode = dns::RCode::kNxDomain;
+  cache::encode_cached_answer(answer, entry.wire);
   cursor.caches.push_back({entry});
   cursor.caches.push_back({});  // second backend, empty cache
   return cursor;
@@ -264,7 +266,11 @@ TEST_F(CheckpointTest, CursorCodecRoundTripsByteIdentically) {
   ASSERT_EQ(decoded.caches.size(), 2u);
   ASSERT_EQ(decoded.caches[0].size(), 1u);
   EXPECT_EQ(decoded.caches[0][0].key, "example.com|A|853");
-  EXPECT_EQ(decoded.caches[0][0].answer.rcode, dns::RCode::kNxDomain);
+  dns::RCode rcode = dns::RCode::kNoError;
+  std::vector<dns::ResourceRecord> records;
+  ASSERT_TRUE(cache::decode_cached_answer(decoded.caches[0][0].wire, rcode,
+                                          records));
+  EXPECT_EQ(rcode, dns::RCode::kNxDomain);
   util::ByteWriter again;
   encode_cursor(again, decoded);
   EXPECT_EQ(again.data(), w.data());

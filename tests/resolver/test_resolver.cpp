@@ -29,6 +29,22 @@ AuthoritativeUniverse make_universe() {
   return universe;
 }
 
+/// AuthoritativeUniverse::query() with the zone looked up the way
+/// RecursiveBackend does it.
+AuthoritativeUniverse::Upstream query(const AuthoritativeUniverse& universe,
+                                      const dns::Name& qname, dns::RrType type,
+                                      const net::Location& from,
+                                      const util::Date& date, util::Rng& rng) {
+  return universe.query(universe.find_zone(qname), qname, type, from, date, rng);
+}
+
+Zone zone_at(const std::string& apex) {
+  Zone zone;
+  zone.apex = *dns::Name::parse(apex);
+  zone.ns_location = kPop;
+  return zone;
+}
+
 TEST(Universe, LongestSuffixZoneMatch) {
   AuthoritativeUniverse universe = make_universe();
   Zone sub;
@@ -45,10 +61,62 @@ TEST(Universe, LongestSuffixZoneMatch) {
   EXPECT_EQ(universe.find_zone(*dns::Name::parse("unrelated.org")), nullptr);
 }
 
+TEST(Universe, FindZoneLongestSuffixWins) {
+  AuthoritativeUniverse universe;
+  universe.add_zone(zone_at("test"));
+  universe.add_zone(zone_at("b.a.test"));
+  universe.add_zone(zone_at("a.test"));
+  const auto name = *dns::Name::parse("x.B.a.Test");
+  EXPECT_EQ(universe.find_zone(name)->apex, *dns::Name::parse("b.a.test"));
+  EXPECT_EQ(universe.find_zone(name, name.canonical())->apex,
+            *dns::Name::parse("b.a.test"));
+  EXPECT_EQ(universe.find_zone(*dns::Name::parse("y.a.test"))->apex,
+            *dns::Name::parse("a.test"));
+  EXPECT_EQ(universe.find_zone(*dns::Name::parse("a.test"))->apex,
+            *dns::Name::parse("a.test"));
+  EXPECT_EQ(universe.find_zone(*dns::Name::parse("other.test"))->apex,
+            *dns::Name::parse("test"));
+}
+
+TEST(Universe, FindZoneFirstOfEqualApexesWins) {
+  AuthoritativeUniverse universe;
+  Zone first = zone_at("dup.test");
+  first.popular = true;
+  universe.add_zone(std::move(first));
+  universe.add_zone(zone_at("DUP.test"));
+  const Zone* zone = universe.find_zone(*dns::Name::parse("x.dup.test"));
+  ASSERT_NE(zone, nullptr);
+  EXPECT_TRUE(zone->popular);
+}
+
+TEST(Universe, FindZoneRootMatchesEverything) {
+  AuthoritativeUniverse universe;
+  universe.add_zone(zone_at("."));
+  universe.add_zone(zone_at("probe.test"));
+  EXPECT_TRUE(universe.find_zone(*dns::Name::parse("unrelated.org"))->apex.is_root());
+  EXPECT_TRUE(universe.find_zone(dns::Name())->apex.is_root());
+  EXPECT_EQ(universe.find_zone(*dns::Name::parse("p.probe.test"))->apex,
+            *dns::Name::parse("probe.test"));
+}
+
+// A wire label may contain a dot: {"a.b", "test"} spells "a.b.test." in
+// canonical form, exactly like the apex a.b.test, yet it is not under it.
+TEST(Universe, FindZoneDottedWireLabelDoesNotMatch) {
+  AuthoritativeUniverse universe;
+  universe.add_zone(zone_at("test"));
+  universe.add_zone(zone_at("a.b.test"));
+  const auto dotted = dns::Name::from_labels({"a.b", "test"});
+  ASSERT_TRUE(dotted.has_value());
+  EXPECT_EQ(universe.find_zone(*dotted)->apex, *dns::Name::parse("test"));
+  const auto deeper = dns::Name::from_labels({"x", "a.b", "test"});
+  ASSERT_TRUE(deeper.has_value());
+  EXPECT_EQ(universe.find_zone(*deeper)->apex, *dns::Name::parse("test"));
+}
+
 TEST(Universe, AnswersFromZone) {
   auto universe = make_universe();
   util::Rng rng(1);
-  const auto up = universe.query(*dns::Name::parse("p1.probe.test"),
+  const auto up = query(universe, *dns::Name::parse("p1.probe.test"),
                                  dns::RrType::kA, kPop, kDay, rng);
   ASSERT_EQ(up.answer.answers.size(), 1u);
   EXPECT_EQ(std::get<util::Ipv4>(up.answer.answers[0].rdata),
@@ -59,9 +127,9 @@ TEST(Universe, AnswersFromZone) {
 TEST(Universe, SynthesizesUnknownDeterministically) {
   auto universe = make_universe();
   util::Rng rng(1);
-  const auto a = universe.query(*dns::Name::parse("random.example.org"),
+  const auto a = query(universe, *dns::Name::parse("random.example.org"),
                                 dns::RrType::kA, kPop, kDay, rng);
-  const auto b = universe.query(*dns::Name::parse("random.example.org"),
+  const auto b = query(universe, *dns::Name::parse("random.example.org"),
                                 dns::RrType::kA, kPop, kDay, rng);
   ASSERT_FALSE(a.answer.answers.empty());
   EXPECT_EQ(std::get<util::Ipv4>(a.answer.answers[0].rdata),
@@ -72,7 +140,7 @@ TEST(Universe, NxdomainWhenSynthesisOff) {
   auto universe = make_universe();
   universe.set_synthesize_unknown(false);
   util::Rng rng(1);
-  const auto up = universe.query(*dns::Name::parse("nope.example"),
+  const auto up = query(universe, *dns::Name::parse("nope.example"),
                                  dns::RrType::kA, kPop, kDay, rng);
   EXPECT_EQ(up.answer.rcode, dns::RCode::kNxDomain);
 }
@@ -83,9 +151,9 @@ TEST(Universe, LatencyScalesWithNsDistance) {
   double near_total = 0, far_total = 0;
   const net::Location near_pop{{39.9, 116.4}, "CN", 3};  // next to the NS
   for (int i = 0; i < 60; ++i) {
-    far_total += universe.query(*dns::Name::parse("a.probe.test"),
+    far_total += query(universe, *dns::Name::parse("a.probe.test"),
                                 dns::RrType::kA, kPop, kDay, rng).latency.value;
-    near_total += universe.query(*dns::Name::parse("a.probe.test"),
+    near_total += query(universe, *dns::Name::parse("a.probe.test"),
                                  dns::RrType::kA, near_pop, kDay, rng).latency.value;
   }
   EXPECT_GT(far_total, near_total * 2);
