@@ -2,7 +2,8 @@
 // (DESIGN.md §11). Two sections, both written to BENCH_throughput.json:
 //
 //  - transports: steady-state single-vantage query throughput for Do53/UDP,
-//    Do53/TCP, DoT and DoH against the simulated providers — queries/sec and
+//    Do53/TCP, DoT and DoH against the simulated providers, through the
+//    slot-reusing query*_into path the study phases use — queries/sec and
 //    allocations/query via the counting allocator below.
 //  - phases: every study phase run end to end at --scale quick|full
 //    (StudyConfig::full() approximates the paper's dataset sizes), with
@@ -144,6 +145,8 @@ Row transport_row(const std::string& name, world::World& world,
   return row;
 }
 
+/// Each row drives the slot-reusing `query*_into` path the study phases run,
+/// refilling one QueryOutcome per row in place.
 std::vector<Row> run_transports() {
   world::World world;
   world::Vantage vantage = world.make_clean_vantage("US");
@@ -152,24 +155,29 @@ std::vector<Row> run_transports() {
 
   {
     client::Do53Client c(world.network(), vantage.context, 31);
+    client::QueryOutcome out;
     rows.push_back(transport_row("do53_udp", world, 41, [&](const dns::Name& n) {
-      return c.query_udp(world::addrs::kGooglePrimary, n, dns::RrType::kA, day)
-          .status;
+      c.query_udp_into(world::addrs::kGooglePrimary, n, dns::RrType::kA, day,
+                       {}, out);
+      return out.status;
     }));
   }
   {
     client::Do53Client c(world.network(), vantage.context, 32);
+    client::QueryOutcome out;
     rows.push_back(transport_row("do53_tcp", world, 42, [&](const dns::Name& n) {
-      return c
-          .query_tcp(world::addrs::kCloudflarePrimary, n, dns::RrType::kA, day)
-          .status;
+      c.query_tcp_into(world::addrs::kCloudflarePrimary, n, dns::RrType::kA,
+                       day, {}, out);
+      return out.status;
     }));
   }
   {
     client::DotClient c(world.network(), vantage.context, 33);
+    client::QueryOutcome out;
     rows.push_back(transport_row("dot", world, 43, [&](const dns::Name& n) {
-      return c.query(world::addrs::kCloudflarePrimary, n, dns::RrType::kA, day)
-          .status;
+      c.query_into(world::addrs::kCloudflarePrimary, n, dns::RrType::kA, day,
+                   {}, out);
+      return out.status;
     }));
   }
   {
@@ -178,8 +186,10 @@ std::vector<Row> run_transports() {
         "https://mozilla.cloudflare-dns.com/dns-query{?dns}");
     client::DohClient::Options options;
     options.bootstrap_resolver = world::addrs::kGooglePrimary;
+    client::QueryOutcome out;
     rows.push_back(transport_row("doh_get", world, 44, [&](const dns::Name& n) {
-      return c.query(*uri, n, dns::RrType::kA, day, options).status;
+      c.query_into(*uri, n, dns::RrType::kA, day, options, out);
+      return out.status;
     }));
   }
   return rows;

@@ -1,9 +1,9 @@
-// One runner per table/figure of the paper. Every runner returns a rendered
-// util::Table computed from a Study (static tables take no Study). The bench
-// binaries print these next to the paper's reference values.
+// The experiment registry: one entry per table/figure of the paper. Every
+// runner returns a util::Table computed from a Study, and the entry carries
+// the paper's own reference values for it.
+// `encdns_study --id <id>` prints both; the registry is the only way in.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,35 +12,13 @@
 
 namespace encdns::core {
 
-[[nodiscard]] util::Table experiment_table1();
-[[nodiscard]] util::Table experiment_figure1();
-[[nodiscard]] util::Table experiment_figure2();
-[[nodiscard]] util::Table experiment_figure3(Study& study);
-[[nodiscard]] util::Table experiment_table2(Study& study);
-[[nodiscard]] util::Table experiment_figure4(Study& study);
-[[nodiscard]] util::Table experiment_doh_discovery(Study& study);
-[[nodiscard]] util::Table experiment_figure5(Study& study);
-[[nodiscard]] util::Table experiment_local_probe(Study& study);
-[[nodiscard]] util::Table experiment_figure6(Study& study);
-[[nodiscard]] util::Table experiment_figure7(Study& study);
-[[nodiscard]] util::Table experiment_figure8(Study& study);
-[[nodiscard]] util::Table experiment_table3(Study& study);
-[[nodiscard]] util::Table experiment_table4(Study& study);
-[[nodiscard]] util::Table experiment_table5(Study& study);
-[[nodiscard]] util::Table experiment_table6(Study& study);
-[[nodiscard]] util::Table experiment_figure9(Study& study);
-[[nodiscard]] util::Table experiment_figure10(Study& study);
-[[nodiscard]] util::Table experiment_table7(Study& study);
-[[nodiscard]] util::Table experiment_figure11(Study& study);
-[[nodiscard]] util::Table experiment_figure11_trend(Study& study);
-[[nodiscard]] util::Table experiment_figure12(Study& study);
-[[nodiscard]] util::Table experiment_figure13(Study& study);
-[[nodiscard]] util::Table experiment_table8();
-
 struct Experiment {
   std::string id;     // "table4", "fig9", ...
   std::string title;  // paper caption
-  std::function<util::Table(Study&)> run;
+  // What the paper reports for this experiment, one printed line each
+  // (empty for workflow diagrams and extensions beyond the paper).
+  std::vector<std::string> paper;
+  util::Table (*run)(Study&) = nullptr;  // static tables ignore the study
 };
 
 /// All experiments in paper order.

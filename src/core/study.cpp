@@ -1,8 +1,5 @@
 #include "core/study.hpp"
 
-#include <cmath>
-#include <cstdlib>
-
 #include "measure/codec.hpp"
 #include "scan/codec.hpp"
 #include "traffic/codec.hpp"
@@ -197,20 +194,17 @@ exec::CancelToken* Study::phase_cancel(const char* env_name,
   if (study_cancel_) slot->set_parent(&*study_cancel_);
   if (value) {
     const bool is_sim = value->rfind("sim:", 0) == 0;
-    const std::string number = is_sim ? value->substr(4) : *value;
-    char* end = nullptr;
-    const double parsed =
-        number.empty() ? 0.0 : std::strtod(number.c_str(), &end);
-    if (number.empty() || end == nullptr || *end != '\0' ||
-        !std::isfinite(parsed) || parsed <= 0.0) {
+    const auto parsed = util::parse_double(is_sim ? value->substr(4) : *value);
+    if (!parsed || *parsed <= 0.0) {
+      slot.reset();  // a retried accessor must fail again, not run unbudgeted
       throw util::EnvError(std::string(env_name) + "=\"" + *value +
                            "\": expected a positive wall budget in seconds "
                            "or a deterministic \"sim:<milliseconds>\" budget");
     }
     if (is_sim)
-      slot->set_sim_budget(sim::Millis{parsed});
+      slot->set_sim_budget(sim::Millis{*parsed});
     else
-      slot->set_wall_budget(parsed);
+      slot->set_wall_budget(*parsed);
   }
   return &*slot;
 }

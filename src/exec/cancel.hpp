@@ -18,6 +18,7 @@
 // per-phase budget and the global deadline are checked together.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -28,6 +29,8 @@ namespace encdns::exec {
 
 class CancelToken {
  public:
+  static constexpr double kMaxBudgetSeconds = 1e9;  // ~31.7 years
+
   CancelToken() = default;
   CancelToken(const CancelToken&) = delete;
   CancelToken& operator=(const CancelToken&) = delete;
@@ -38,16 +41,20 @@ class CancelToken {
   }
 
   /// Wall-clock budget from now. Coverage-only degradation (see header note).
+  /// Both budgets clamp at kMaxBudgetSeconds: converting a larger double to
+  /// the integer ticks they are kept in would overflow.
   void set_wall_budget(double seconds) noexcept {
     wall_deadline_ = std::chrono::steady_clock::now() +
                      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double>(seconds));
+                         std::chrono::duration<double>(
+                             std::min(seconds, kMaxBudgetSeconds)));
     has_wall_deadline_ = true;
   }
 
   /// Deterministic simulated-time budget, measured in sim::Millis spent.
   void set_sim_budget(sim::Millis budget) noexcept {
-    sim_budget_us_ = static_cast<std::uint64_t>(budget.value * 1000.0);
+    sim_budget_us_ = static_cast<std::uint64_t>(
+        std::min(budget.value * 1000.0, kMaxBudgetSeconds * 1e6));
     has_sim_budget_ = true;
   }
 

@@ -22,16 +22,30 @@ class EnvError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// String-level parsers behind the env_* accessors, shared with every other
+/// text input (encdns_study's --seed and --deadline, the ENCDNS_DEADLINE_*
+/// budgets). Each returns nullopt unless the whole of `text`, with no
+/// leading or trailing whitespace, has the named form. Never throw.
+///
+/// Base-10 integer within 64-bit range (optional leading '-').
+[[nodiscard]] std::optional<long long> parse_int(const std::string& text);
+
+/// Non-negative base-10 integer within unsigned 64-bit range (digits only).
+[[nodiscard]] std::optional<std::uint64_t> parse_u64(const std::string& text);
+
+/// Finite decimal number (strtod must consume the whole text).
+[[nodiscard]] std::optional<double> parse_double(const std::string& text);
+
 /// Raw value, nullopt when unset. Never throws.
 [[nodiscard]] std::optional<std::string> env_string(const char* name);
 
-/// Strict base-10 integer (optional leading '-'; no trailing junk).
+/// Strict base-10 integer (parse_int).
 [[nodiscard]] std::optional<long long> env_int(const char* name);
 
 /// Strict integer, additionally required to be > 0.
 [[nodiscard]] std::optional<long long> env_positive_int(const char* name);
 
-/// Strict finite double (strtod must consume the whole value).
+/// Strict finite double (parse_double).
 [[nodiscard]] std::optional<double> env_double(const char* name);
 
 /// Accepts on/off, true/false, 1/0 (case-insensitive).

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+
 #include "core/experiments.hpp"
 #include "core/implementation_survey.hpp"
 #include "core/protocol_matrix.hpp"
 #include "core/study.hpp"
 #include "core/timeline.hpp"
 #include "fault/fault.hpp"
+#include "util/env.hpp"
 
 namespace encdns::core {
 namespace {
@@ -130,10 +134,17 @@ TEST(ImplementationSurvey, DoeAdoptionOutpacesInSurvey) {
   EXPECT_GT(totals.dot, totals.dnscrypt);
 }
 
+const Experiment& registered(const std::string& id) {
+  for (const auto& experiment : all_experiments())
+    if (experiment.id == id) return experiment;
+  throw std::out_of_range("no experiment " + id);
+}
+
 TEST(Experiments, StaticTablesRender) {
-  for (const auto& table :
-       {experiment_table1(), experiment_figure1(), experiment_figure2(),
-        experiment_table8()}) {
+  // Static runners ignore the study they are handed.
+  Study study(StudyConfig::quick());
+  for (const char* id : {"table1", "fig1", "fig2", "table8"}) {
+    const auto table = registered(id).run(study);
     EXPECT_FALSE(table.title().empty());
     EXPECT_GT(table.row_count(), 3u);
     EXPECT_FALSE(table.render().empty());
@@ -142,7 +153,8 @@ TEST(Experiments, StaticTablesRender) {
 }
 
 TEST(Experiments, Figure2UsesRealCodec) {
-  const auto table = experiment_figure2();
+  Study study(StudyConfig::quick());
+  const auto table = registered("fig2").run(study);
   const std::string rendered = table.render();
   // The GET URL embeds a base64url dns parameter produced by the codec.
   EXPECT_NE(rendered.find("?dns="), std::string::npos);
@@ -163,6 +175,34 @@ TEST(Experiments, RegistryCoversPaper) {
         "table8", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
         "fig8", "fig9", "fig10", "fig11", "fig12", "fig13"})
     EXPECT_TRUE(ids.contains(id)) << id;
+  // Every experiment the paper reports values for carries them, for
+  // encdns_study to print above the measured table.
+  for (const char* id :
+       {"table1", "fig1", "fig2", "fig3", "table2", "fig4", "doh-discovery",
+        "doh-scan", "local-probe", "fig6", "table3", "table4", "table5",
+        "table6", "fig9", "fig10", "table7", "fig11", "fig12", "fig13",
+        "table8"}) {
+    ASSERT_TRUE(ids.contains(id)) << id;
+    const auto& paper = registered(id).paper;
+    EXPECT_FALSE(paper.empty()) << id;
+    for (const auto& line : paper) EXPECT_FALSE(line.empty()) << id;
+  }
+}
+
+// ENCDNS_DEADLINE_* budgets go through util::parse_double like every other
+// numeric knob: a malformed or non-finite value fails before the phase runs.
+TEST(Study, MalformedPhaseBudgetThrows) {
+  for (const char* bad : {"nan", "inf", "5x", " 5", "0", "-1", "sim:",
+                          "sim:nan", "sim:inf", "sim:-5"}) {
+    ::setenv("ENCDNS_DEADLINE_REACH", bad, 1);
+    Study study(StudyConfig::quick());
+    EXPECT_THROW((void)study.reachability_global(), util::EnvError)
+        << "value: '" << bad << "'";
+    // A second call must not find a half-built, budget-less token.
+    EXPECT_THROW((void)study.reachability_global(), util::EnvError)
+        << "value: '" << bad << "'";
+  }
+  ::unsetenv("ENCDNS_DEADLINE_REACH");
 }
 
 // Acceptance for the fault-injection stack (DESIGN.md §8): a quick study under

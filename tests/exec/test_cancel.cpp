@@ -115,6 +115,17 @@ TEST(Cancel, ExpiredWallDeadlineTrips) {
   EXPECT_STREQ(token.reason(), "wall-deadline");
 }
 
+TEST(Cancel, HugeBudgetsClampInsteadOfOverflowing) {
+  // 1e300 s does not fit the clock's integer ticks; the budget clamps to
+  // kMaxBudgetSeconds and simply never trips within a run.
+  CancelToken wall, sim_token;
+  wall.set_wall_budget(1e300);
+  EXPECT_FALSE(wall.cancelled());
+  sim_token.set_sim_budget(sim::Millis{1e300});
+  sim_token.spend_sim(sim::Millis{1e9});
+  EXPECT_FALSE(sim_token.cancelled());
+}
+
 TEST(Cancel, ParentCancellationPropagates) {
   CancelToken parent, child;
   child.set_parent(&parent);

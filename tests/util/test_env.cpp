@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 namespace encdns::util {
@@ -34,7 +35,8 @@ TEST_F(EnvTest, IntParsesStrictBase10) {
 TEST_F(EnvTest, IntRejectsTrailingJunk) {
   // The whole point of the shared helper: a typo must fail loudly, not
   // silently degrade to a default (ENCDNS_THREADS=fuor used to run serial).
-  for (const char* bad : {"fuor", "4x", "4 ", "", "0x10", "4.0"}) {
+  for (const char* bad : {"fuor", "4x", "4 ", " 4", "", "0x10", "4.0",
+                          "9223372036854775808"}) {
     set(bad);
     EXPECT_THROW((void)env_int(kVar), EnvError) << "value: '" << bad << "'";
   }
@@ -58,6 +60,35 @@ TEST_F(EnvTest, DoubleRequiresFiniteFullConsume) {
     set(bad);
     EXPECT_THROW((void)env_double(kVar), EnvError) << "value: '" << bad << "'";
   }
+}
+
+// The string-level parsers behind env_*, also used for encdns_study's
+// --seed and --deadline: nullopt instead of a silent default.
+TEST(ParseText, IntIsStrictBase10) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int("-7"), -7);
+  for (const char* bad : {"", " 4", "4 ", "4x", "abc", "0x10", "4.0",
+                          "9223372036854775808"})
+    EXPECT_FALSE(parse_int(bad).has_value()) << "text: '" << bad << "'";
+}
+
+TEST(ParseText, U64IsDigitsOnly) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("2019"), 2019u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), UINT64_MAX);
+  // strtoull would read "-1" as 2^64-1 and "abc" as 0.
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "12x",
+                          "18446744073709551616"})
+    EXPECT_FALSE(parse_u64(bad).has_value()) << "text: '" << bad << "'";
+}
+
+TEST(ParseText, DoubleIsFiniteAndFullyConsumed) {
+  EXPECT_DOUBLE_EQ(parse_double("5").value(), 5.0);
+  EXPECT_DOUBLE_EQ(parse_double("0.25").value(), 0.25);
+  EXPECT_DOUBLE_EQ(parse_double("-1.5").value(), -1.5);
+  for (const char* bad : {"", "5x", " 5", "5 ", "nan", "NaN", "inf",
+                          "-inf", "infinity", "1e400"})
+    EXPECT_FALSE(parse_double(bad).has_value()) << "text: '" << bad << "'";
 }
 
 TEST_F(EnvTest, BoolAcceptsCanonicalSpellings) {

@@ -1,6 +1,7 @@
 // The study runner CLI: run any (or every) experiment at quick or full
-// scale, print the tables, and optionally export CSVs — the reproduction's
-// counterpart of the paper's dataset release (https://dnsencryption.info).
+// scale, print each table under the paper's reference values for it, and
+// optionally export CSVs — the reproduction's counterpart of the paper's
+// dataset release (https://dnsencryption.info).
 //
 // Usage:
 //   encdns_study --list
@@ -9,7 +10,6 @@
 //   encdns_study --golden-dir DIR            write golden JSON snapshots
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -81,7 +81,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--id" && i + 1 < argc) {
       only_id = argv[++i];
     } else if (arg == "--seed" && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto parsed = util::parse_u64(argv[++i]);
+      if (!parsed) {
+        std::fprintf(stderr, "--seed expects a non-negative base-10 integer\n");
+        return 1;
+      }
+      seed = *parsed;
     } else if (arg == "--csv-dir" && i + 1 < argc) {
       csv_dir = argv[++i];
     } else if (arg == "--obs") {
@@ -95,11 +100,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--resume") {
       resume = true;
     } else if (arg == "--deadline" && i + 1 < argc) {
-      deadline = std::strtod(argv[++i], nullptr);
-      if (deadline <= 0.0) {
-        std::fprintf(stderr, "--deadline expects a positive seconds value\n");
+      const auto parsed = util::parse_double(argv[++i]);
+      if (!parsed || *parsed <= 0.0) {
+        std::fprintf(stderr,
+                     "--deadline expects a finite positive seconds value\n");
         return 1;
       }
+      deadline = *parsed;
     } else {
       print_usage();
       return arg == "--help" || arg == "-h" ? 0 : 1;
@@ -188,6 +195,12 @@ int run_tables(core::Study& study, const std::string& only_id,
     if (!only_id.empty() && experiment.id != only_id) continue;
     found = true;
     const auto table = experiment.run(study);
+    if (!experiment.paper.empty()) {
+      std::printf("Paper reference (IMC'19):\n");
+      for (const auto& line : experiment.paper)
+        std::printf("  | %s\n", line.c_str());
+      std::printf("\n");
+    }
     std::printf("%s\n", table.render().c_str());
     if (!csv_dir.empty()) {
       const auto path =
