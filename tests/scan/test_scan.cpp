@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <unordered_set>
 
@@ -13,6 +14,7 @@
 #include "scan/permutation.hpp"
 #include "scan/scanner.hpp"
 #include "scan/space.hpp"
+#include "util/bytes.hpp"
 #include "util/stats.hpp"
 #include "world/world.hpp"
 
@@ -420,6 +422,70 @@ TEST(ScanEngine, WindowAndPaceDoNotChangeResults) {
   EXPECT_EQ(tight.tally.credit_leaks, 0u);
   EXPECT_EQ(wide.tally.credit_leaks, 0u);
   EXPECT_EQ(paced.tally.credit_leaks, 0u);
+}
+
+// Value lock for the faults-on sweep. The invariance tests above only prove
+// that runs agree with each other; this one pins what they agree on, so an
+// engine change that shifts a verdict, a tally or a summed latency the same
+// way at every thread count still fails. The values were captured before the
+// engine classified order-free verdicts at transmit time, and must not move.
+TEST(ScanEngine, FaultedSweepMatchesCommittedBaseline) {
+  struct Expected {
+    std::uint64_t permutation_seed;
+    std::uint64_t cookie_seed;
+    std::uint64_t transmitted, probed, open, retransmits;
+    std::uint64_t forgery, duplicate, stale;
+    std::uint64_t injected, recovered, surfaced;
+    std::int64_t sim_ns;
+    std::uint64_t open_digest;
+  };
+  const Expected cases[] = {
+      {0x5EEDBEEF, 20190201, 332909, 327680, 3291, 5229, 973, 5010, 1303,
+       5229, 4619, 197, 52601194146514, 0x777247260cc0a5afULL},
+      {0xC0FFEE, 7, 332900, 327680, 3295, 5220, 1024, 4834, 1306, 5220, 4614,
+       209, 52420121887172, 0xe54663fcf8c4d0c3ULL},
+  };
+  world::WorldConfig world_config;
+  world_config.fault_profile = fault::FaultProfile::canonical();
+  for (const Expected& want : cases) {
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "seed " << want.cookie_seed
+                                      << ", threads " << threads);
+      world::World world(world_config);
+      const ScanSpace space = reduced_space(world, 5);
+      CyclicPermutation permutation(space.size(), want.permutation_seed);
+      EngineConfig config;
+      config.seed = want.cookie_seed;
+      config.thread_count = threads;
+      ScanEngine engine(world, config);
+      const SweepResult got = engine.sweep(
+          space, permutation,
+          {world.make_clean_vantage("US"), world.make_clean_vantage("DE")},
+          kFeb);
+      std::uint64_t digest = util::kFnv1aBasis;
+      for (const util::Ipv4 addr : got.open_hosts) {
+        const std::uint32_t v = addr.value();
+        const std::uint8_t bytes[4] = {
+            static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+            static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+        digest = util::fnv1a_bytes(bytes, sizeof bytes, digest);
+      }
+      const EngineTally& t = got.tally;
+      EXPECT_EQ(t.transmitted, want.transmitted);
+      EXPECT_EQ(t.probed, want.probed);
+      EXPECT_EQ(t.open, want.open);
+      EXPECT_EQ(t.retransmits, want.retransmits);
+      EXPECT_EQ(t.rejected_forgery, want.forgery);
+      EXPECT_EQ(t.rejected_duplicate, want.duplicate);
+      EXPECT_EQ(t.rejected_stale, want.stale);
+      EXPECT_EQ(t.faults.injected, want.injected);
+      EXPECT_EQ(t.faults.recovered, want.recovered);
+      EXPECT_EQ(t.faults.surfaced, want.surfaced);
+      EXPECT_EQ(std::llround(t.sim_elapsed.value * 1e6), want.sim_ns);
+      EXPECT_EQ(digest, want.open_digest);
+      EXPECT_EQ(got.open_hosts.size(), t.open);
+    }
+  }
 }
 
 // A sweep that starts already cancelled emits nothing and leaks nothing.
