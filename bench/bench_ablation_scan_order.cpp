@@ -43,9 +43,10 @@ int main() {
   const std::uint64_t probes = std::min<std::uint64_t>(space.size(), 400000);
   constexpr std::size_t kWindow = 2000;
 
-  scan::CyclicPermutation permutation(space.size(), 99);
+  const scan::CyclicPermutation permutation(space.size(), 99);
+  auto walker = permutation.walk(0, permutation.steps());
   const std::size_t permuted = burstiness(space, probes, kWindow, [&](std::uint64_t) {
-    const auto index = permutation.next();
+    const auto index = walker.next();
     return index.value_or(0);
   });
   const std::size_t sequential =

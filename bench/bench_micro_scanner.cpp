@@ -20,12 +20,13 @@ namespace {
 using namespace encdns;
 
 void BM_PermutationNext(benchmark::State& state) {
-  scan::CyclicPermutation permutation(1 << 22, 7);
+  const scan::CyclicPermutation permutation(1 << 22, 7);
+  auto walker = permutation.walk(0, permutation.steps());
   for (auto _ : state) {
-    auto value = permutation.next();
+    auto value = walker.next();
     if (!value) {
-      permutation.reset();
-      value = permutation.next();
+      walker = permutation.walk(0, permutation.steps());
+      value = walker.next();
     }
     benchmark::DoNotOptimize(value);
   }

@@ -38,7 +38,11 @@
 // or popular query names and a capacity at least the working-set size, the
 // same contract the measurement experiments already relied on. Eviction
 // order within a shard is a pure function of the operation sequence applied
-// to it, which is what the deterministic-eviction unit tests pin down.
+// to it, which is what the deterministic-eviction unit tests pin down; but
+// once a cache evicts, that sequence is the interleaving of concurrent
+// sessions, so which entries survive, and every later hit/miss, varies
+// from run to run. A full-scale study evicts (~330k entries), and its
+// cache counters are therefore not reproducible; quick scale never evicts.
 #pragma once
 
 #include <atomic>

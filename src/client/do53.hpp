@@ -50,8 +50,11 @@ class Do53Client {
   /// Slot-reusing twins of the lookups above (DESIGN.md §12): the outcome is
   /// reset and refilled in place (`out.response` stays engaged with warmed
   /// storage; see QueryOutcome), so a reused client + outcome pair performs
-  /// steady-state lookups with zero fresh allocations. The plain variants
-  /// wrap these, so behaviour stays identical by construction.
+  /// steady-state lookups with zero fresh client-side allocations: a lookup
+  /// the resolver answers from its cache allocates nothing at all, and one
+  /// that misses allocates only inside the simulated resolver (the new cache
+  /// entry and the authoritative record). tests/alloc pins both. The plain
+  /// variants wrap these, so behaviour stays identical by construction.
   void query_udp_into(util::Ipv4 server, const dns::Name& qname, dns::RrType type,
                       const util::Date& date, const Options& options,
                       QueryOutcome& out);

@@ -22,6 +22,25 @@ constexpr std::uint16_t kDotPort = 853;
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/// The date's share of the stream and flap keys. Seed-independent, so one
+/// per-thread memo of the last date serves every injector: a sweep draws
+/// millions of faults on one date and pays for these mixes once.
+struct DayTerms {
+  util::Date date{0, 0, 0};  // month 0: no date memoized yet
+  std::uint64_t stream = 0;  // mix64(days * golden ratio)
+  std::uint64_t flap = 0;    // mix64(days)
+};
+
+[[nodiscard]] const DayTerms& day_terms(const util::Date& date) noexcept {
+  thread_local DayTerms memo;
+  if (memo.date != date) {
+    const auto days = static_cast<std::uint64_t>(date.to_days());
+    memo = DayTerms{date, util::mix64(days * 0x9E3779B97F4A7C15ULL),
+                    util::mix64(days)};
+  }
+  return memo;
+}
+
 }  // namespace
 
 const char* to_string(Channel channel) noexcept {
@@ -90,8 +109,7 @@ std::uint64_t FaultInjector::stream_key(Channel channel, util::Ipv4 dst,
   key ^= util::mix64((static_cast<std::uint64_t>(dst.value()) << 16) | port);
   key ^= util::mix64(0xC4A110ULL + static_cast<std::uint64_t>(
                                        channel_index(channel)));
-  key ^= util::mix64(static_cast<std::uint64_t>(date.to_days()) *
-                     0x9E3779B97F4A7C15ULL);
+  key ^= day_terms(date).stream;
   return key;
 }
 
@@ -171,7 +189,7 @@ bool FaultInjector::flapping(util::Ipv4 dst, const util::Date& date) const {
   if (!enabled() || profile_.flap_rate <= 0.0) return false;
   const std::uint64_t h =
       util::mix64(seed_ ^ util::mix64(0xF1A90ULL ^ dst.value()) ^
-                  util::mix64(static_cast<std::uint64_t>(date.to_days())));
+                  day_terms(date).flap);
   return to_unit(h) < profile_.flap_rate;
 }
 

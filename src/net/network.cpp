@@ -67,7 +67,8 @@ sim::Millis Network::sample_rtt(const ClientContext& client, const GeoPoint& rem
 Network::ProbeResult Network::probe_tcp(const ClientContext& client, util::Rng& rng,
                                         util::Ipv4 dst, std::uint16_t port,
                                         const util::Date& date,
-                                        sim::Millis timeout) const {
+                                        sim::Millis timeout,
+                                        std::optional<bool> unbound_background) const {
   ProbeResult result;
   fault::Decision fd;
   if (injector_ != nullptr && injector_->enabled()) {
@@ -106,14 +107,16 @@ Network::ProbeResult Network::probe_tcp(const ClientContext& client, util::Rng& 
       }
     }
   }
-  if (const Pop* pop = route(dst, client.location, date)) {
+  const Pop* pop = unbound_background ? nullptr : route(dst, client.location, date);
+  if (pop != nullptr) {
     const bool open = pop->service->accepts(port, Transport::kTcp);
     result.status = open ? ProbeStatus::kOpen : ProbeStatus::kClosed;
     result.latency = sample_rtt(client, pop->location.geo, pop->extra_processing, rng) +
                      fd.extra_latency;
     return result;
   }
-  if (background_ && background_(dst, port, date)) {
+  if (unbound_background ? *unbound_background
+                         : background_ && background_(dst, port, date)) {
     result.status = ProbeStatus::kOpen;
     // Background hosts are scattered; approximate a mid-range RTT.
     result.latency = sim::Millis{rng.uniform(20.0, 250.0)} + fd.extra_latency;

@@ -90,10 +90,17 @@ class Network {
   };
   /// TCP SYN probe (ZMap semantics): kOpen on SYN-ACK, kClosed on RST or
   /// no-host, kFiltered when the SYN is silently dropped in-path.
-  [[nodiscard]] ProbeResult probe_tcp(const ClientContext& client, util::Rng& rng,
-                                      util::Ipv4 dst, std::uint16_t port,
-                                      const util::Date& date,
-                                      sim::Millis timeout = sim::Millis{3000}) const;
+  /// A set `unbound_background` is the caller's promise that dst is not
+  /// among bound_addresses() (a sweep snapshots that set once), together
+  /// with the background predicate's answer for (dst, port, date), which a
+  /// sweep evaluates with its per-date constants hoisted. The probe then
+  /// skips the bindings lookup and the predicate call; the verdict and every
+  /// rng draw are unchanged.
+  [[nodiscard]] ProbeResult probe_tcp(
+      const ClientContext& client, util::Rng& rng, util::Ipv4 dst,
+      std::uint16_t port, const util::Date& date,
+      sim::Millis timeout = sim::Millis{3000},
+      std::optional<bool> unbound_background = std::nullopt) const;
 
   struct UdpResult {
     enum class Status { kOk, kTimeout };

@@ -49,6 +49,7 @@ struct Pending {
   std::uint64_t echoed = 0;  // cookie as echoed (forgeries corrupt this)
   net::Network::ProbeStatus status = net::Network::ProbeStatus::kClosed;
   sim::Millis latency{0.0};
+  bool bound = false;      // addr has a binding (retransmits route it too)
   bool holds_credit = false;
   bool duplicate = false;  // second delivery of an already-queued response
   bool stale = false;      // late arrival for a retransmitted attempt
@@ -95,7 +96,8 @@ class ShardRun {
     while (const auto index = walker.next()) {
       const util::Ipv4 addr = space_->at(*index);
       ++partial_->tally.probed;
-      transmit(*index, partial_->tally.probed - 1, addr, /*attempt=*/0);
+      transmit(partial_->tally.probed - 1, addr, /*attempt=*/0,
+               (*bound_)[static_cast<std::size_t>(*index)]);
       if (tripped()) {
         cancelled = true;
         break;
@@ -128,62 +130,74 @@ class ShardRun {
     return false;
   }
 
-  /// Emit one probe. Closed fast-path probes classify inline with no rng
-  /// draw, no credit, and no receive state — the masscan economy: the ~99%
-  /// of the space that is closed leaves nothing behind.
-  void transmit(std::uint64_t index, std::uint64_t seq, util::Ipv4 addr,
-                std::uint32_t attempt) {
+  /// Emit one probe and apply the engine's one classification rule: a
+  /// response whose verdict cannot depend on arrival order is classified the
+  /// moment its probe is sent. That is every closed verdict whose echoed
+  /// cookie validates (sim time is an integer sum, and a closed address adds
+  /// nothing else). Only opens, filtered or forged responses (which may
+  /// retransmit) and the duplicates and stale ghosts the receive side
+  /// rejects ride the ring, and only the first two hold a credit. On a
+  /// clean, fault-free path an unbound address is the rule's cheapest case:
+  /// it is background-open or closed, and its closed verdict materializes
+  /// no response at all — no cookie, no rng draw, no latency.
+  void transmit(std::uint64_t seq, util::Ipv4 addr, std::uint32_t attempt,
+                bool bound) {
     ++partial_->tally.transmitted;
     tx_clock_ += pace_gap_;
-    // The cookie is minted only once a response exists: the ~99% of the
-    // space that is closed costs no cookie, no rng, no credit, no state.
-    if (fast_path_ && !(*bound_)[static_cast<std::size_t>(index)]) {
-      if (config_->port == dns::kDotPort && background_.open(addr)) {
-        const std::uint64_t cookie =
-            make_cookie(config_->seed, addr, config_->port, attempt);
-        util::Rng rng = cookie_rng(cookie);
-        Pending item;
-        item.seq = seq;
-        item.addr = addr;
-        item.attempt = attempt;
-        item.echoed = cookie;
-        item.status = net::Network::ProbeStatus::kOpen;
-        item.latency = sim::Millis{rng.uniform(20.0, 250.0)};
-        enqueue_with_credit(std::move(item));
-      }
-      return;  // closed: verdict needs no state at all
-    }
-    // Bound address, middlebox on path, or faults on: full transport
-    // semantics via probe_tcp, with the probe's own cookie-keyed stream.
+    // An unbound address is background-open or closed, and the sweep's
+    // hoisted predicate says which.
+    const std::optional<bool> background =
+        bound ? std::nullopt
+              : std::optional<bool>(config_->port == dns::kDotPort &&
+                                    background_.open(addr));
+    const bool oracle = fast_path_ && !bound;
+    if (oracle && !*background) return;
     const std::uint64_t cookie =
         make_cookie(config_->seed, addr, config_->port, attempt);
     util::Rng rng = cookie_rng(cookie);
-    const auto probe = world_->network().probe_tcp(
-        origin_for(addr).context, rng, addr, config_->port, *date_,
-        kProbeTimeout);
     Pending item;
     item.seq = seq;
     item.addr = addr;
     item.attempt = attempt;
+    item.bound = bound;
     item.echoed = cookie;
-    item.status = probe.status;
-    item.latency = probe.latency;
-    if (injector_on_) {
-      const auto& profile = world_->network().fault_injector()->profile();
-      util::Rng forge = cookie_rng(cookie ^ kForgeKey);
-      if (forge.chance(profile.exchange_garble))
-        item.echoed ^= 1ULL << forge.below(64);
-      util::Rng dup = cookie_rng(cookie ^ kDupKey);
-      if (dup.chance(profile.udp_drop)) {
-        Pending copy = item;
-        copy.arrival = tx_clock_ + item.latency.value +
-                       dup.uniform(1.0, 50.0);
-        copy.holds_credit = false;
-        copy.duplicate = true;
-        ring_.push(std::move(copy));
-      }
+    if (oracle) {
+      item.status = net::Network::ProbeStatus::kOpen;
+      item.latency = sim::Millis{rng.uniform(20.0, 250.0)};
+    } else {
+      // Bound address, middlebox on path, or faults on: full transport
+      // semantics via probe_tcp, with the probe's own cookie-keyed stream.
+      const auto probe = world_->network().probe_tcp(
+          origin_for(addr).context, rng, addr, config_->port, *date_,
+          kProbeTimeout, background);
+      item.status = probe.status;
+      item.latency = probe.latency;
+      if (injector_on_) corrupt_in_flight(item);
+    }
+    if (item.status == net::Network::ProbeStatus::kClosed &&
+        item.echoed == cookie) {
+      verdict(item, /*authentic=*/true);
+      return;
     }
     enqueue_with_credit(std::move(item));
+  }
+
+  /// The receive-side adversaries, each drawn from its own cookie-keyed
+  /// stream: a garbled echo (the response will fail validation) and a
+  /// second delivery of the same response (rejected as a duplicate).
+  void corrupt_in_flight(Pending& item) {
+    const auto& profile = world_->network().fault_injector()->profile();
+    util::Rng forge = cookie_rng(item.echoed ^ kForgeKey);
+    util::Rng dup = cookie_rng(item.echoed ^ kDupKey);
+    if (forge.chance(profile.exchange_garble))
+      item.echoed ^= 1ULL << forge.below(64);
+    if (dup.chance(profile.udp_drop)) {
+      Pending copy = item;
+      copy.arrival = tx_clock_ + item.latency.value + dup.uniform(1.0, 50.0);
+      copy.holds_credit = false;
+      copy.duplicate = true;
+      ring_.push(std::move(copy));
+    }
   }
 
   void enqueue_with_credit(Pending item) {
@@ -213,9 +227,9 @@ class ShardRun {
     }
   }
 
-  /// The receive side: validate the echoed cookie, reject duplicates and
-  /// stale arrivals, then apply the verdict (possibly retransmitting).
-  void classify(Pending item) {
+  /// The receive side: reject duplicates and stale arrivals, validate the
+  /// echoed cookie, then apply the verdict (possibly retransmitting).
+  void classify(const Pending& item) {
     if (item.holds_credit) window_.release();
     EngineTally& tally = partial_->tally;
     if (item.duplicate) {
@@ -226,10 +240,17 @@ class ShardRun {
       ++tally.rejected_stale;
       return;
     }
+    verdict(item, validate_cookie(item.echoed, config_->seed, item.addr,
+                                  config_->port, item.attempt));
+  }
+
+  /// Apply one materialized response: its latency joins the shard's sim
+  /// time, then the verdict lands in the open set or the retry accounting.
+  void verdict(const Pending& item, bool authentic) {
+    EngineTally& tally = partial_->tally;
     sim_nanos_ +=
         static_cast<std::uint64_t>(std::llround(item.latency.value * 1e6));
-    if (!validate_cookie(item.echoed, config_->seed, item.addr, config_->port,
-                         item.attempt)) {
+    if (!authentic) {
       // Forged or garbled echo: fail closed. The response proves nothing,
       // so the attempt is treated exactly like a filtered verdict.
       ++tally.rejected_forgery;
@@ -260,7 +281,7 @@ class ShardRun {
       ++tally.faults.injected;
       ++tally.retransmits;
       maybe_emit_stale(item);
-      transmit(/*index=*/0, item.seq, item.addr, item.attempt + 1);
+      transmit(item.seq, item.addr, item.attempt + 1, item.bound);
       return;
     }
     ++tally.faults.surfaced;

@@ -1,6 +1,7 @@
 #include "scan/permutation.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -73,6 +74,8 @@ std::vector<std::uint64_t> prime_factors(std::uint64_t n) {
 CyclicPermutation::CyclicPermutation(std::uint64_t n, std::uint64_t seed) : n_(n) {
   // Degenerate sizes: fall back to a trivial walk over a 2-element group.
   p_ = next_prime(n_ < 2 ? 3 : n_ + 1);
+  if (p_ >= (1ULL << 63))
+    throw std::invalid_argument("CyclicPermutation: space too large");
   const auto factors = prime_factors(p_ - 1);
 
   util::Rng rng(util::mix64(seed ^ p_));
@@ -93,7 +96,6 @@ CyclicPermutation::CyclicPermutation(std::uint64_t n, std::uint64_t seed) : n_(n
     }
   }
   start_ = 1 + rng.below(p_ - 1);  // any element of [1, p-1]
-  current_ = start_;
 }
 
 std::uint64_t CyclicPermutation::element_at(std::uint64_t step) const noexcept {
@@ -101,41 +103,25 @@ std::uint64_t CyclicPermutation::element_at(std::uint64_t step) const noexcept {
       static_cast<__uint128_t>(start_) * pow_mod(g_, step, p_) % p_);
 }
 
+MulMod::MulMod(std::uint64_t factor, std::uint64_t mod) noexcept
+    : factor_(factor),
+      mod_(mod),
+      quotient_(static_cast<std::uint64_t>(
+          (static_cast<__uint128_t>(factor) << 64) / mod)) {}
+
 CyclicPermutation::Walker CyclicPermutation::walk(
     std::uint64_t first_step, std::uint64_t last_step) const noexcept {
   first_step = std::min(first_step, steps());
   last_step = std::min(last_step, steps());
   const std::uint64_t count = last_step > first_step ? last_step - first_step : 0;
-  return Walker(n_, p_, g_, element_at(first_step), count);
+  return Walker(n_, MulMod(g_, p_), element_at(first_step), count);
 }
 
 std::optional<std::uint64_t> CyclicPermutation::Walker::next() noexcept {
   while (remaining_ > 0) {
     --remaining_;
     const std::uint64_t value = current_ - 1;  // group element -> index
-    current_ = static_cast<std::uint64_t>(
-        static_cast<__uint128_t>(current_) * g_ % p_);
-    if (value < n_) return value;
-  }
-  return std::nullopt;
-}
-
-void CyclicPermutation::reset() noexcept {
-  current_ = start_;
-  exhausted_ = false;
-  started_ = false;
-}
-
-std::optional<std::uint64_t> CyclicPermutation::next() {
-  while (!exhausted_) {
-    if (started_ && current_ == start_) {
-      exhausted_ = true;
-      return std::nullopt;
-    }
-    started_ = true;
-    const std::uint64_t value = current_ - 1;  // group element -> index
-    current_ = static_cast<std::uint64_t>(
-        static_cast<__uint128_t>(current_) * g_ % p_);
+    current_ = step_(current_);
     if (value < n_) return value;
   }
   return std::nullopt;

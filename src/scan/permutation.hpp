@@ -24,18 +24,32 @@ namespace encdns::scan {
 [[nodiscard]] std::uint64_t pow_mod(std::uint64_t base, std::uint64_t exp,
                                     std::uint64_t mod) noexcept;
 
-/// A full-cycle permutation of [0, n).
+/// Multiplication by a fixed factor modulo a fixed modulus without a 128-bit
+/// division (Shoup's precomputed quotient): w = floor(factor * 2^64 / mod)
+/// makes floor(x * w / 2^64) the quotient or one less, so one conditional
+/// subtraction finishes the product. Exact for every x, factor < mod < 2^63.
+class MulMod {
+ public:
+  MulMod(std::uint64_t factor, std::uint64_t mod) noexcept;
+
+  /// (x * factor) mod `mod`, for x < mod.
+  [[nodiscard]] std::uint64_t operator()(std::uint64_t x) const noexcept {
+    const auto q = static_cast<std::uint64_t>(
+        (static_cast<__uint128_t>(x) * quotient_) >> 64);
+    const std::uint64_t r = x * factor_ - q * mod_;  // in [0, 2*mod)
+    return r >= mod_ ? r - mod_ : r;
+  }
+
+ private:
+  std::uint64_t factor_, mod_, quotient_;
+};
+
+/// A full-cycle permutation of [0, n). The walker steps the group with
+/// MulMod, so the prime must stay below 2^63 (a 2^32 IPv4 space is far off).
 class CyclicPermutation {
  public:
   /// `seed` selects the generator and the starting point.
   CyclicPermutation(std::uint64_t n, std::uint64_t seed);
-
-  /// The next index, or nullopt when the cycle has completed. Every value in
-  /// [0, n) is produced exactly once.
-  [[nodiscard]] std::optional<std::uint64_t> next();
-
-  /// Restart the cycle from the beginning.
-  void reset() noexcept;
 
   [[nodiscard]] std::uint64_t size() const noexcept { return n_; }
   [[nodiscard]] std::uint64_t prime() const noexcept { return p_; }
@@ -59,10 +73,12 @@ class CyclicPermutation {
 
    private:
     friend class CyclicPermutation;
-    Walker(std::uint64_t n, std::uint64_t p, std::uint64_t g,
-           std::uint64_t current, std::uint64_t remaining) noexcept
-        : n_(n), p_(p), g_(g), current_(current), remaining_(remaining) {}
-    std::uint64_t n_, p_, g_, current_, remaining_;
+    Walker(std::uint64_t n, MulMod step, std::uint64_t current,
+           std::uint64_t remaining) noexcept
+        : n_(n), step_(step), current_(current), remaining_(remaining) {}
+    std::uint64_t n_;
+    MulMod step_;  // current -> current * g mod p
+    std::uint64_t current_, remaining_;
   };
   [[nodiscard]] Walker walk(std::uint64_t first_step,
                             std::uint64_t last_step) const noexcept;
@@ -72,9 +88,6 @@ class CyclicPermutation {
   std::uint64_t p_;      // prime > n
   std::uint64_t g_;      // primitive root mod p
   std::uint64_t start_;  // first group element
-  std::uint64_t current_;
-  bool exhausted_ = false;
-  bool started_ = false;
 };
 
 }  // namespace encdns::scan

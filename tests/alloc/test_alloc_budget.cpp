@@ -250,6 +250,122 @@ TEST_F(AllocBudgetTest, DohSteadyStateBudget) {
   EXPECT_LE(doh * 1.5, 197.0);
 }
 
+// --- reused client + outcome (client/do53.hpp, DESIGN.md §12) ---------------
+//
+// The `query_*_into` contract: a reused client and a reused QueryOutcome look
+// names up without fresh client-side allocations once warm. Two workloads
+// per transport, each with its own client and outcome on a fresh World: a
+// name the resolver already caches, and unique names, whose lookups miss the
+// cache. What a miss costs is the simulated resolver's, identical for every
+// transport: the new cache entry's buffer, the authoritative A record built
+// for the unique name (3: the record, its name's labels), and the amortized
+// growth of the cache's slab and index.
+
+/// A lookup that neither answered nor timed out (the clean vantage's link
+/// still drops the odd UDP datagram; a timeout is modelled loss).
+bool failed(const client::QueryOutcome& outcome) {
+  return outcome.status != client::QueryStatus::kOk &&
+         outcome.status != client::QueryStatus::kTimeout;
+}
+
+struct IntoAllocs {
+  double per_hit = 0.0;             // per repeated, cache-hit lookup
+  double per_unique = 0.0;          // per unique-name lookup
+  double entries_per_unique = 0.0;  // resolver-cache entries added per lookup
+  std::size_t failures = 0;
+};
+
+template <typename Query>
+IntoAllocs measure_into(world::World& world, Query&& query) {
+  IntoAllocs result;
+  client::QueryOutcome outcome;
+  util::Rng rng(0x1470);
+  const dns::Name repeated = world.unique_probe_name(rng);
+  result.per_hit = allocs_per_query([&](int) {
+    query(repeated, outcome);
+    if (failed(outcome)) ++result.failures;
+  });
+  std::vector<dns::Name> names;
+  for (int i = 0; i < kWarmup + kMeasured; ++i)
+    names.push_back(world.unique_probe_name(rng));
+  const auto entries_before = world.resolver_cache_tally().entries;
+  result.per_unique = allocs_per_query([&](int i) {
+    query(names[static_cast<std::size_t>(i)], outcome);
+    if (failed(outcome)) ++result.failures;
+  });
+  result.entries_per_unique =
+      static_cast<double>(world.resolver_cache_tally().entries -
+                          entries_before) /
+      (kWarmup + kMeasured);
+  return result;
+}
+
+TEST_F(AllocBudgetTest, ReusedClientAndOutcomeAllocateOnlyForNewCacheEntries) {
+  const util::Date day{2019, 3, 10};
+  std::vector<std::pair<std::string, IntoAllocs>> runs;
+  {
+    world::World world;
+    client::Do53Client client(world.network(),
+                              world.make_clean_vantage("US").context, 31);
+    runs.emplace_back("do53_udp", measure_into(world, [&](const dns::Name& name,
+                                                          client::QueryOutcome& out) {
+      client.query_udp_into(world::addrs::kGooglePrimary, name, dns::RrType::kA,
+                            day, {}, out);
+    }));
+  }
+  {
+    world::World world;
+    client::Do53Client client(world.network(),
+                              world.make_clean_vantage("US").context, 32);
+    runs.emplace_back("do53_tcp", measure_into(world, [&](const dns::Name& name,
+                                                          client::QueryOutcome& out) {
+      client.query_tcp_into(world::addrs::kCloudflarePrimary, name,
+                            dns::RrType::kA, day, {}, out);
+    }));
+  }
+  {
+    world::World world;
+    client::DotClient client(world.network(),
+                             world.make_clean_vantage("US").context, 33);
+    runs.emplace_back("dot", measure_into(world, [&](const dns::Name& name,
+                                                     client::QueryOutcome& out) {
+      client.query_into(world::addrs::kCloudflarePrimary, name, dns::RrType::kA,
+                        day, {}, out);
+    }));
+  }
+  {
+    world::World world;
+    client::DohClient client(world.network(),
+                             world.make_clean_vantage("US").context, 34);
+    const auto uri = http::UriTemplate::parse(
+        "https://mozilla.cloudflare-dns.com/dns-query{?dns}");
+    ASSERT_TRUE(uri.has_value());
+    client::DohClient::Options options;
+    options.bootstrap_resolver = world::addrs::kGooglePrimary;
+    runs.emplace_back("doh_get", measure_into(world, [&](const dns::Name& name,
+                                                         client::QueryOutcome& out) {
+      client.query_into(*uri, name, dns::RrType::kA, day, options, out);
+    }));
+  }
+  const double miss_cost = runs[0].second.per_unique - runs[0].second.per_hit;
+  for (const auto& [transport, got] : runs) {
+    SCOPED_TRACE(transport);
+    EXPECT_EQ(got.failures, 0u);
+    // A cache hit allocates nothing, except that a DoH exchange copies the
+    // server name into each TCP request (net::WireRequest::sni, a
+    // std::string longer than the small-string buffer): one per lookup.
+    EXPECT_EQ(got.per_hit, transport == "doh_get" ? 1.0 : 0.0);
+    // Every unique name adds exactly one cache entry, and costs every
+    // transport the same allocations beyond its hit cost.
+    EXPECT_EQ(got.entries_per_unique, 1.0);
+    EXPECT_EQ(got.per_unique - got.per_hit, miss_cost);
+  }
+  // Entry buffer + authoritative record, plus under half an allocation of
+  // amortized slab/index growth per new entry.
+  EXPECT_GE(miss_cost, 4.0);
+  EXPECT_LT(miss_cost, 4.5);
+}
+
 // --- measurement-phase budgets (DESIGN.md §12) ------------------------------
 //
 // The per-client / per-check budgets below guard the arena discipline through

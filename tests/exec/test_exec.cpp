@@ -296,7 +296,10 @@ TEST(WorkerPoolMetrics, QueuePeakSamplesDepthBeforeTheFirstClaim) {
 
 TEST(ScratchArena, WorkerTasksRunAllocationFreeAfterWarmup) {
   // The fan-out contract: after one warmup pass fills each worker's arena,
-  // repeated leases inside pool tasks create no further buffers.
+  // repeated leases inside pool tasks create no further buffers. Which
+  // threads claim warmup shards is up to the scheduler (a worker may find
+  // the queue already drained), so the check covers every shard that ran on
+  // a thread the warmup reached.
   exec::WorkerPool pool(4);
   constexpr std::size_t kShards = 32;
   const auto lease_once = [](std::size_t) {
@@ -305,13 +308,21 @@ TEST(ScratchArena, WorkerTasksRunAllocationFreeAfterWarmup) {
   };
   pool.parallel_for_shards(kShards, lease_once);  // warmup
   std::vector<std::size_t> created(kShards, 0);
+  std::vector<unsigned char> warm(kShards, 0);
   pool.parallel_for_shards(kShards, [&](std::size_t s) {
     const std::size_t before = exec::thread_arena().created();
+    warm[s] = before > 0;
     exec::BufferLease lease;
     lease->resize(512);
     created[s] = exec::thread_arena().created() - before;
   });
-  for (const std::size_t c : created) EXPECT_EQ(c, 0u);
+  std::size_t checked = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    if (warm[s] == 0) continue;
+    ++checked;
+    EXPECT_EQ(created[s], 0u) << "shard " << s;
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

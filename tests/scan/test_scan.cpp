@@ -64,26 +64,28 @@ class PermutationFullCycle : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PermutationFullCycle, VisitsEveryIndexOnce) {
   const std::uint64_t n = GetParam();
-  CyclicPermutation permutation(n, 0xFEED + n);
+  const CyclicPermutation permutation(n, 0xFEED + n);
+  auto walker = permutation.walk(0, permutation.steps());
   std::vector<bool> seen(n, false);
   std::uint64_t count = 0;
-  while (const auto index = permutation.next()) {
+  while (const auto index = walker.next()) {
     ASSERT_LT(*index, n);
     ASSERT_FALSE(seen[*index]) << "revisited " << *index;
     seen[*index] = true;
     ++count;
   }
   EXPECT_EQ(count, n);
-  EXPECT_FALSE(permutation.next().has_value());  // stays exhausted
+  EXPECT_FALSE(walker.next().has_value());  // stays exhausted
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PermutationFullCycle,
                          ::testing::Values(1, 2, 3, 10, 97, 100, 1021, 4096, 65536));
 
 TEST(Permutation, OrderLooksScattered) {
-  CyclicPermutation permutation(10000, 42);
+  const CyclicPermutation permutation(10000, 42);
+  auto walker = permutation.walk(0, permutation.steps());
   std::vector<std::uint64_t> first;
-  for (int i = 0; i < 100; ++i) first.push_back(*permutation.next());
+  for (int i = 0; i < 100; ++i) first.push_back(*walker.next());
   // Consecutive outputs should not be sequential addresses.
   int adjacent = 0;
   for (std::size_t i = 1; i < first.size(); ++i)
@@ -91,21 +93,52 @@ TEST(Permutation, OrderLooksScattered) {
   EXPECT_LT(adjacent, 3);
 }
 
+// A fresh walker over the same step range restarts the same order.
 TEST(Permutation, ResetRestartsSameOrder) {
-  CyclicPermutation permutation(1000, 7);
+  const CyclicPermutation permutation(1000, 7);
   std::vector<std::uint64_t> a, b;
-  for (int i = 0; i < 50; ++i) a.push_back(*permutation.next());
-  permutation.reset();
-  for (int i = 0; i < 50; ++i) b.push_back(*permutation.next());
+  auto first = permutation.walk(0, permutation.steps());
+  for (int i = 0; i < 50; ++i) a.push_back(*first.next());
+  auto again = permutation.walk(0, permutation.steps());
+  for (int i = 0; i < 50; ++i) b.push_back(*again.next());
   EXPECT_EQ(a, b);
 }
 
 TEST(Permutation, DifferentSeedsDifferentOrder) {
-  CyclicPermutation a(100000, 1), b(100000, 2);
+  const CyclicPermutation a(100000, 1), b(100000, 2);
+  auto walk_a = a.walk(0, a.steps());
+  auto walk_b = b.walk(0, b.steps());
   int same = 0;
   for (int i = 0; i < 100; ++i)
-    if (*a.next() == *b.next()) ++same;
+    if (*walk_a.next() == *walk_b.next()) ++same;
   EXPECT_LT(same, 5);
+}
+
+// The walker's step is MulMod, Shoup's division-free product; it must agree
+// with the plain 128-bit (x * g) % p on every input it can meet: the tiny
+// groups of degenerate spaces, primes just above 2^32 (a whole IPv4 space),
+// and primes at the 2^63 limit, at the edges of [0, p) and in between.
+TEST(Permutation, MulModMatchesWideRemainder) {
+  std::vector<std::uint64_t> primes = {2, 3, 5, 7, 11, 13, 97, 65537};
+  for (std::uint64_t p = next_prime((1ULL << 32) + 1); primes.size() < 12;
+       p = next_prime(p + 1))
+    primes.push_back(p);
+  std::uint64_t below_limit = (1ULL << 63) - 1;
+  while (!is_prime(below_limit)) --below_limit;
+  primes.push_back(below_limit);
+  util::Rng rng(0x5405);
+  for (const std::uint64_t p : primes) {
+    std::vector<std::uint64_t> values = {0, 1, p / 2, p - 2, p - 1};
+    for (int i = 0; i < 200; ++i) values.push_back(rng.below(p));
+    for (const std::uint64_t g : values) {
+      const MulMod step(g % p, p);
+      for (const std::uint64_t x : values) {
+        const auto want = static_cast<std::uint64_t>(
+            static_cast<__uint128_t>(x % p) * (g % p) % p);
+        ASSERT_EQ(step(x % p), want) << "x=" << x << " g=" << g << " p=" << p;
+      }
+    }
+  }
 }
 
 TEST(ScanSpace, IndexAddressBijection) {

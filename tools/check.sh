@@ -109,6 +109,31 @@ run_chaos() {
   chaos_leg triple 1 3:2 10:8 7:4
   chaos_leg single 8 5:2
   echo "kill+resume runs are byte-identical to tests/golden/data."
+
+  # The golden corpus locks the fault-free run only, so the faults-on leg
+  # compares against an uninterrupted faults-on run: its tables (CSV) and
+  # stable obs JSON, after kills at two commits (2 and 8 threads) and a
+  # resume at 1 thread.
+  faults_run() {
+    ENCDNS_FAULTS=canonical ENCDNS_THREADS="$1" ./build/tools/encdns_study \
+      --csv-dir "${tmp}/$2.csv" --obs-json "${tmp}/$2.obs.json" "${@:3}"
+  }
+  local step kill threads rc resume=""
+  faults_run 4 faults-ref >/dev/null
+  for step in 4:2 9:8; do
+    kill="${step%%:*}" threads="${step##*:}" rc=0
+    ENCDNS_CHECKPOINT_KILL_AFTER="${kill}" faults_run "${threads}" faults \
+      --checkpoint-dir "${tmp}/faults.ckpt" ${resume} >/dev/null 2>&1 || rc=$?
+    if [ "${rc}" -ne 137 ]; then
+      echo "chaos (faults on): expected SIGKILL (137) at commit ${kill}, got ${rc}" >&2
+      return 1
+    fi
+    resume=--resume
+  done
+  faults_run 1 faults --checkpoint-dir "${tmp}/faults.ckpt" --resume >/dev/null
+  diff -r "${tmp}/faults-ref.csv" "${tmp}/faults.csv"
+  cmp "${tmp}/faults-ref.obs.json" "${tmp}/faults.obs.json"
+  echo "faults-on kill+resume matches an uninterrupted faults-on run."
 }
 
 run_dag_guard() {
