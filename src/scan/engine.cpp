@@ -134,12 +134,12 @@ class ShardRun {
   /// response whose verdict cannot depend on arrival order is classified the
   /// moment its probe is sent. That is every closed verdict whose echoed
   /// cookie validates (sim time is an integer sum, and a closed address adds
-  /// nothing else). Only opens, filtered or forged responses (which may
-  /// retransmit) and the duplicates and stale ghosts the receive side
-  /// rejects ride the ring, and only the first two hold a credit. On a
-  /// clean, fault-free path an unbound address is the rule's cheapest case:
-  /// it is background-open or closed, and its closed verdict materializes
-  /// no response at all — no cookie, no rng draw, no latency.
+  /// nothing else). Only opens and filtered or forged responses (which may
+  /// retransmit) ride the ring holding a credit; the duplicates and stale
+  /// ghosts the receive side rejects ride it without one. On a clean,
+  /// fault-free path an unbound address is the rule's cheapest case: it is
+  /// background-open or closed, and its closed verdict materializes no
+  /// response at all — no cookie, no rng draw, no latency.
   void transmit(std::uint64_t seq, util::Ipv4 addr, std::uint32_t attempt,
                 bool bound) {
     ++partial_->tally.transmitted;

@@ -1,7 +1,6 @@
 #include "scan/permutation.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -74,8 +73,6 @@ std::vector<std::uint64_t> prime_factors(std::uint64_t n) {
 CyclicPermutation::CyclicPermutation(std::uint64_t n, std::uint64_t seed) : n_(n) {
   // Degenerate sizes: fall back to a trivial walk over a 2-element group.
   p_ = next_prime(n_ < 2 ? 3 : n_ + 1);
-  if (p_ >= (1ULL << 63))
-    throw std::invalid_argument("CyclicPermutation: space too large");
   const auto factors = prime_factors(p_ - 1);
 
   util::Rng rng(util::mix64(seed ^ p_));

@@ -45,7 +45,7 @@ class MulMod {
 };
 
 /// A full-cycle permutation of [0, n). The walker steps the group with
-/// MulMod, so the prime must stay below 2^63 (a 2^32 IPv4 space is far off).
+/// MulMod, so n must stay below 2^63 (an IPv4 space is at most 2^32).
 class CyclicPermutation {
  public:
   /// `seed` selects the generator and the starting point.

@@ -111,12 +111,12 @@ run_chaos() {
   echo "kill+resume runs are byte-identical to tests/golden/data."
 
   # The golden corpus locks the fault-free run only, so the faults-on leg
-  # compares against an uninterrupted faults-on run: its tables (CSV) and
-  # stable obs JSON, after kills at two commits (2 and 8 threads) and a
-  # resume at 1 thread.
+  # compares against an uninterrupted faults-on run: every table (CSV) and
+  # the stable obs JSON, after kills at two commits (2 and 8 threads) and a
+  # resume at 1 thread. (--golden-dir would force faults off.)
   faults_run() {
     ENCDNS_FAULTS=canonical ENCDNS_THREADS="$1" ./build/tools/encdns_study \
-      --csv-dir "${tmp}/$2.csv" --obs-json "${tmp}/$2.obs.json" "${@:3}"
+      --csv-dir "${tmp}/$2" --obs-json "${tmp}/$2.obs.json" "${@:3}"
   }
   local step kill threads rc resume=""
   faults_run 4 faults-ref >/dev/null
@@ -131,7 +131,7 @@ run_chaos() {
     resume=--resume
   done
   faults_run 1 faults --checkpoint-dir "${tmp}/faults.ckpt" --resume >/dev/null
-  diff -r "${tmp}/faults-ref.csv" "${tmp}/faults.csv"
+  diff -r "${tmp}/faults-ref" "${tmp}/faults"
   cmp "${tmp}/faults-ref.obs.json" "${tmp}/faults.obs.json"
   echo "faults-on kill+resume matches an uninterrupted faults-on run."
 }

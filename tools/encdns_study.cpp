@@ -37,6 +37,8 @@ void print_usage() {
       "  --obs             run the study, print the observability report\n"
       "  --obs-json <f>    write the stable observability JSON to <f>\n"
       "                    ('-' = stdout); implies running the full study\n"
+      "                    (--obs/--obs-json print no tables unless\n"
+      "                    --csv-dir is given)\n"
       "  --golden-dir <d>  run every experiment at quick scale with faults\n"
       "                    off and write <id>.json snapshots plus the\n"
       "                    stable obs JSON (obs.json) into <d>\n"
@@ -164,7 +166,8 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    if (obs_text || !obs_json.empty()) return 0;
+    // The reports replace the tables unless CSV export asks for them too.
+    if ((obs_text || !obs_json.empty()) && csv_dir.empty()) return 0;
 
     return run_tables(study, only_id, csv_dir, report);
   } catch (const util::EnvError& e) {
