@@ -150,8 +150,7 @@ class ShardRun {
         bound ? std::nullopt
               : std::optional<bool>(config_->port == dns::kDotPort &&
                                     background_.open(addr));
-    const bool oracle = fast_path_ && !bound;
-    if (oracle && !*background) return;
+    if (fast_path_ && !bound && !*background) return;
     const std::uint64_t cookie =
         make_cookie(config_->seed, addr, config_->port, attempt);
     util::Rng rng = cookie_rng(cookie);
@@ -161,19 +160,14 @@ class ShardRun {
     item.attempt = attempt;
     item.bound = bound;
     item.echoed = cookie;
-    if (oracle) {
-      item.status = net::Network::ProbeStatus::kOpen;
-      item.latency = sim::Millis{rng.uniform(20.0, 250.0)};
-    } else {
-      // Bound address, middlebox on path, or faults on: full transport
-      // semantics via probe_tcp, with the probe's own cookie-keyed stream.
-      const auto probe = world_->network().probe_tcp(
-          origin_for(addr).context, rng, addr, config_->port, *date_,
-          kProbeTimeout, background);
-      item.status = probe.status;
-      item.latency = probe.latency;
-      if (injector_on_) corrupt_in_flight(item);
-    }
+    // Full transport semantics via probe_tcp, with the probe's own
+    // cookie-keyed stream.
+    const auto probe = world_->network().probe_tcp(
+        origin_for(addr).context, rng, addr, config_->port, *date_,
+        kProbeTimeout, background);
+    item.status = probe.status;
+    item.latency = probe.latency;
+    if (injector_on_) corrupt_in_flight(item);
     if (item.status == net::Network::ProbeStatus::kClosed &&
         item.echoed == cookie) {
       verdict(item, /*authentic=*/true);

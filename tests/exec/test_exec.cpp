@@ -296,33 +296,41 @@ TEST(WorkerPoolMetrics, QueuePeakSamplesDepthBeforeTheFirstClaim) {
 
 TEST(ScratchArena, WorkerTasksRunAllocationFreeAfterWarmup) {
   // The fan-out contract: after one warmup pass fills each worker's arena,
-  // repeated leases inside pool tasks create no further buffers. Which
-  // threads claim warmup shards is up to the scheduler (a worker may find
-  // the queue already drained), so the check covers every shard that ran on
-  // a thread the warmup reached.
+  // repeated leases inside pool tasks create no further buffers. The warmup
+  // is gated so that it reaches every pool thread whatever the scheduler
+  // does: it has one shard per participant (the workers plus the submitting
+  // thread), and each shard holds its thread until all of them have leased.
+  // A thread cannot claim a second warmup shard while it waits in its first.
   exec::WorkerPool pool(4);
+  const std::size_t participants = pool.thread_count();
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<bool> gate_timed_out{false};
+  pool.parallel_for_shards(participants, [&](std::size_t) {
+    {
+      exec::BufferLease lease;
+      lease->resize(512);
+    }
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < participants) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        gate_timed_out = true;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_FALSE(gate_timed_out.load()) << "warmup did not reach every thread";
   constexpr std::size_t kShards = 32;
-  const auto lease_once = [](std::size_t) {
-    exec::BufferLease lease;
-    lease->resize(512);
-  };
-  pool.parallel_for_shards(kShards, lease_once);  // warmup
   std::vector<std::size_t> created(kShards, 0);
-  std::vector<unsigned char> warm(kShards, 0);
   pool.parallel_for_shards(kShards, [&](std::size_t s) {
     const std::size_t before = exec::thread_arena().created();
-    warm[s] = before > 0;
     exec::BufferLease lease;
     lease->resize(512);
     created[s] = exec::thread_arena().created() - before;
   });
-  std::size_t checked = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    if (warm[s] == 0) continue;
-    ++checked;
-    EXPECT_EQ(created[s], 0u) << "shard " << s;
-  }
-  EXPECT_GT(checked, 0u);
+  for (const std::size_t c : created) EXPECT_EQ(c, 0u);
 }
 
 }  // namespace

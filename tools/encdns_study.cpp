@@ -38,7 +38,7 @@ void print_usage() {
       "  --obs-json <f>    write the stable observability JSON to <f>\n"
       "                    ('-' = stdout); implies running the full study\n"
       "                    (--obs/--obs-json print no tables unless\n"
-      "                    --csv-dir is given)\n"
+      "                    --csv-dir is given; '-' excludes --csv-dir)\n"
       "  --golden-dir <d>  run every experiment at quick scale with faults\n"
       "                    off and write <id>.json snapshots plus the\n"
       "                    stable obs JSON (obs.json) into <d>\n"
@@ -113,6 +113,13 @@ int main(int argc, char** argv) {
       print_usage();
       return arg == "--help" || arg == "-h" ? 0 : 1;
     }
+  }
+
+  if (obs_json == "-" && !csv_dir.empty()) {
+    std::fprintf(stderr,
+                 "--obs-json - writes the JSON to stdout and cannot be "
+                 "combined with --csv-dir, which prints the tables there\n");
+    return 1;
   }
 
   // Golden snapshots pin the canonical quick-scale run: fixed seed, faults
