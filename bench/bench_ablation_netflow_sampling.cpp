@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "exec/executor.hpp"
 #include "traffic/netflow_study.hpp"
 #include "util/table.hpp"
 
@@ -13,13 +14,15 @@ int main() {
       {"Sampling", "Cloudflare Jul'18", "Cloudflare Dec'18", "Growth",
        "records total"});
 
+  exec::WorkerPool pool;
   for (const double rate : {1.0 / 500.0, 1.0 / 1000.0, 1.0 / 3000.0,
                             1.0 / 10000.0, 1.0 / 30000.0}) {
     traffic::NetflowStudyConfig config;
     config.sampling_rate = rate;
     config.backbone.tail_blocks = 1500;
     config.backbone.medium_blocks = 80;
-    traffic::NetflowStudy study(config, traffic::big_resolver_address_list());
+    traffic::NetflowStudy study(config, traffic::big_resolver_address_list(),
+                                pool);
     const auto results = study.run();
     const auto jul = results.cloudflare_monthly.find(util::Date{2018, 7, 1});
     const auto dec = results.cloudflare_monthly.find(util::Date{2018, 12, 1});

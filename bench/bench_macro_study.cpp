@@ -1,5 +1,5 @@
 // End-to-end throughput benchmark for the query hot path and the full study
-// (DESIGN.md §11). Two sections, both written to BENCH_throughput.json:
+// (DESIGN.md §11). Three sections, all written to BENCH_throughput.json:
 //
 //  - transports: steady-state single-vantage query throughput for Do53/UDP,
 //    Do53/TCP, DoT and DoH against the simulated providers, through the
@@ -9,6 +9,9 @@
 //    (StudyConfig::full() approximates the paper's dataset sizes), with
 //    elapsed time, a deterministic work-unit count (probes, clients,
 //    queries — see the "unit" field) and allocations per unit.
+//  - scan_sweep: one fault-free §3 sweep (DESIGN.md §14) — addresses probed,
+//    open count, open-set digest and probes/s, the baseline --scan-guard
+//    holds.
 //
 // --guard BASELINE compares a fresh run against a committed baseline and
 // writes "guard_met": the work-unit counts must match exactly (determinism),
@@ -45,6 +48,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -62,6 +66,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #include "http/url.hpp"
 #include "scan/scanner.hpp"
 #include "traffic/trend_study.hpp"
+#include "util/bytes.hpp"
 #include "world/world.hpp"
 
 namespace {
@@ -76,6 +81,12 @@ struct Row {
   double qps = 0.0;
   double allocs_per_query = 0.0;
 };
+
+void print_row(const Row& row) {
+  std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
+              row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
+              row.qps, row.allocs_per_query);
+}
 
 /// Times `fn`, which must return its deterministic work-unit count.
 Row run_row(const std::string& name, const std::string& unit,
@@ -257,7 +268,63 @@ std::vector<Row> run_phases(const std::string& scale,
   return rows;
 }
 
+// --- scan sweep: the fault-free Phase-1 baseline -----------------------------
+
+constexpr int kSweepTrials = 5;
+
+/// One fault-free TCP/853 sweep of the default world at the campaign's start
+/// date, through Scanner::sweep_once (the Phase-2 probing is left out).
+struct SweepRow {
+  Row row;  // addresses probed; seconds = median over kSweepTrials sweeps
+  unsigned long long open = 0;
+  std::uint64_t open_fnv1a = 0;  // FNV-1a over the sorted open set
+};
+
+SweepRow run_sweep() {
+  exec::WorkerPool pool;
+  const world::World world;
+  const scan::CampaignConfig config;
+  scan::Scanner scanner(world, config, pool);
+  std::vector<util::Ipv4> open;
+  std::vector<double> seconds;
+  SweepRow sweep;
+  // Trial 0 warms the pool threads' arenas and is not timed.
+  for (int trial = 0; trial <= kSweepTrials; ++trial) {
+    scan::ScanSnapshot snapshot;
+    sweep.row = run_row("scan_sweep", "address", [&] {
+      open = scanner.sweep_once(config.start, snapshot);
+      return snapshot.addresses_probed;
+    });
+    if (trial > 0) seconds.push_back(sweep.row.seconds);
+  }
+  std::sort(seconds.begin(), seconds.end());
+  sweep.row.seconds = seconds[seconds.size() / 2];
+  sweep.row.qps = static_cast<double>(sweep.row.queries) / sweep.row.seconds;
+  std::sort(open.begin(), open.end());
+  sweep.open = open.size();
+  sweep.open_fnv1a = util::kFnv1aBasis;
+  for (const util::Ipv4 addr : open) {
+    const std::uint32_t v = addr.value();
+    const std::uint8_t bytes[4] = {
+        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+    sweep.open_fnv1a = util::fnv1a_bytes(bytes, sizeof bytes, sweep.open_fnv1a);
+  }
+  return sweep;
+}
+
 // --- JSON out / guard ---------------------------------------------------------
+
+/// One row as a JSON object, left open so callers can append fields.
+std::string open_row(const Row& row) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"name\": \"%s\", \"unit\": \"%s\", \"queries\": %llu, "
+                "\"seconds\": %.3f, \"qps\": %.1f, \"allocs_per_query\": %.2f",
+                row.name.c_str(), row.unit.c_str(), row.queries, row.seconds,
+                row.qps, row.allocs_per_query);
+  return buf;
+}
 
 void append_rows(std::string& out, const char* key,
                  const std::vector<Row>& rows) {
@@ -265,24 +332,33 @@ void append_rows(std::string& out, const char* key,
   out += key;
   out += "\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"%s\", \"unit\": \"%s\", \"queries\": %llu, "
-                  "\"seconds\": %.3f, \"qps\": %.1f, "
-                  "\"allocs_per_query\": %.2f}%s\n",
-                  row.name.c_str(), row.unit.c_str(), row.queries, row.seconds,
-                  row.qps, row.allocs_per_query,
-                  i + 1 < rows.size() ? "," : "");
-    out += buf;
+    out += "    " + open_row(rows[i]) + "}";
+    out += i + 1 < rows.size() ? ",\n" : "\n";
   }
   out += "  ]";
+}
+
+void append_sweep(std::string& out, const SweepRow& sweep) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), ", \"open\": %llu, \"open_fnv1a\": \"%016llx\"}",
+                sweep.open, static_cast<unsigned long long>(sweep.open_fnv1a));
+  out += "  \"scan_sweep\": " + open_row(sweep.row) + buf;
+}
+
+/// The whole of `path`, or an empty string when it cannot be read.
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 struct BaselineRow {
   unsigned long long queries = 0;
   double qps = 0.0;
   double allocs_per_query = 0.0;
+  unsigned long long open = 0;      // scan_sweep only
+  std::uint64_t open_fnv1a = 0;     // scan_sweep only
   bool found = false;
 };
 
@@ -300,6 +376,15 @@ BaselineRow find_baseline_row(const std::string& text, const std::string& name) 
   row.queries = static_cast<unsigned long long>(field("queries"));
   row.qps = field("qps");
   row.allocs_per_query = field("allocs_per_query");
+  if (name == "scan_sweep") {
+    // The digest is a hex string: a double cannot carry 64 bits.
+    const char* key = "\"open_fnv1a\": \"";
+    const auto digest = text.find(key, at);
+    row.open = static_cast<unsigned long long>(field("open"));
+    if (digest != std::string::npos)
+      row.open_fnv1a =
+          std::strtoull(text.c_str() + digest + std::strlen(key), nullptr, 16);
+  }
   row.found = true;
   return row;
 }
@@ -378,67 +463,6 @@ std::vector<Row> run_checkpoint_guard(const std::string& dir, bool& ok) {
   return {off, on};
 }
 
-/// --scan-guard: side-by-side Phase-1 comparison of the stateless engine
-/// against the legacy synchronous sweep (DESIGN.md §14). Times one full
-/// 853 sweep per mode on fresh fault-free worlds — Phase 2 probing is
-/// mode-independent, so the guard calls Scanner::sweep_once to keep the
-/// shared cost out of the ratio — and requires (a) identical results (same
-/// probed count and, as sets, the same open hosts: fault-free verdicts are
-/// rng-independent) and (b) the stateless engine to clear 1.5x the legacy
-/// throughput. The ratio is machine-independent (both runs share the
-/// machine), so unlike the 0.25x baseline bound this one is tight.
-std::vector<Row> run_scan_guard(bool& ok) {
-  const auto sweep = [&](const char* name, scan::SweepMode mode,
-                         scan::ScanSnapshot& out,
-                         std::vector<util::Ipv4>& open) {
-    world::World world;
-    scan::CampaignConfig config;
-    config.sweep_mode = mode;
-    scan::Scanner scanner(world, config);
-    return run_row(name, "address", [&] {
-      open = scanner.sweep_once(config.start, out);
-      return out.addresses_probed;
-    });
-  };
-  scan::ScanSnapshot warm, legacy, stateless;
-  std::vector<util::Ipv4> warm_open, legacy_open, stateless_open;
-  (void)sweep("scan_warmup", scan::SweepMode::kStateless, warm, warm_open);
-  const Row legacy_row =
-      sweep("scan_legacy", scan::SweepMode::kLegacy, legacy, legacy_open);
-  const Row stateless_row = sweep("scan_stateless", scan::SweepMode::kStateless,
-                                  stateless, stateless_open);
-  ok = true;
-  const auto by_value = [](const util::Ipv4 a, const util::Ipv4 b) {
-    return a.value() < b.value();
-  };
-  std::sort(legacy_open.begin(), legacy_open.end(), by_value);
-  std::sort(stateless_open.begin(), stateless_open.end(), by_value);
-  if (legacy.addresses_probed != stateless.addresses_probed ||
-      legacy_open.size() != stateless_open.size() ||
-      !std::equal(legacy_open.begin(), legacy_open.end(),
-                  stateless_open.begin(),
-                  [](const util::Ipv4 a, const util::Ipv4 b) {
-                    return a.value() == b.value();
-                  })) {
-    std::fprintf(stderr,
-                 "scan-guard: sweep modes disagree (legacy %llu probed / %zu "
-                 "open vs stateless %llu probed / %zu open)\n",
-                 static_cast<unsigned long long>(legacy.addresses_probed),
-                 legacy_open.size(),
-                 static_cast<unsigned long long>(stateless.addresses_probed),
-                 stateless_open.size());
-    ok = false;
-  }
-  if (stateless_row.qps < 1.5 * legacy_row.qps) {
-    std::fprintf(stderr,
-                 "scan-guard: stateless engine too slow (%.1f qps vs legacy "
-                 "%.1f; floor is 1.5x)\n",
-                 stateless_row.qps, legacy_row.qps);
-    ok = false;
-  }
-  return {legacy_row, stateless_row};
-}
-
 /// Current resident set in bytes (/proc/self/statm), for before/after deltas.
 unsigned long long resident_bytes() {
   std::ifstream statm("/proc/self/statm");
@@ -465,11 +489,12 @@ unsigned long long resident_bytes() {
 ///      BENCH_netflow.json — while (a)-(c) always bind.
 std::vector<Row> run_netflow_guard(const std::string& baseline_path, bool& ok) {
   ok = true;
+  exec::WorkerPool pool;
   const unsigned long long rss_before = resident_bytes();
   traffic::TrendStudyResults trend;
   const Row trend_row = run_row("netflow_trend", "flow", [&] {
     traffic::TrendStudyConfig config;  // defaults: scale=1, 4-year horizon
-    trend = traffic::TrendStudy(config).run();
+    trend = traffic::TrendStudy(config, pool).run();
     return static_cast<unsigned long long>(trend.total_records);
   });
   const unsigned long long rss_after = resident_bytes();
@@ -514,7 +539,7 @@ std::vector<Row> run_netflow_guard(const std::string& baseline_path, bool& ok) {
     traffic::TrendStudyConfig config;
     config.scale = 0.02;
     config.validate_exact = true;
-    validation = traffic::TrendStudy(config).run();
+    validation = traffic::TrendStudy(config, pool).run();
     return static_cast<unsigned long long>(validation.total_records);
   });
   const double sigma =
@@ -542,16 +567,13 @@ std::vector<Row> run_netflow_guard(const std::string& baseline_path, bool& ok) {
     }
   }
 
-  std::ifstream in(baseline_path);
-  if (!in) {
+  const std::string text = read_file(baseline_path);
+  if (text.empty()) {
     std::printf(
         "netflow-guard: no baseline at %s — absolute checks only "
         "(commit the fresh JSON to arm the relative ones)\n",
         baseline_path.c_str());
   } else {
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
     for (const Row& row : {trend_row, validate_row}) {
       const BaselineRow base = find_baseline_row(text, row.name);
       if (!base.found) {
@@ -619,15 +641,12 @@ std::vector<Row> run_dag_guard(bool& ok) {
 
 bool check_guard(const std::string& baseline_path,
                  const std::vector<Row>& rows) {
-  std::ifstream in(baseline_path);
-  if (!in) {
+  const std::string text = read_file(baseline_path);
+  if (text.empty()) {
     std::fprintf(stderr, "guard: cannot read baseline %s\n",
                  baseline_path.c_str());
     return false;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
 
   // The qps floor compares against a baseline usually recorded on a
   // multi-core machine; with a single worker the comparison only measures
@@ -683,7 +702,7 @@ int main(int argc, char** argv) {
   std::string guard_path;
   std::string checkpoint_guard_dir;
   std::string netflow_guard_baseline;
-  bool scan_guard = false;
+  std::string scan_guard_baseline;
   bool dag_guard = false;
   std::vector<std::string> phase_filter;
   bool skip_transports = false;
@@ -709,7 +728,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--checkpoint-guard") {
       checkpoint_guard_dir = next();
     } else if (arg == "--scan-guard") {
-      scan_guard = true;
+      scan_guard_baseline = next();
     } else if (arg == "--netflow-guard") {
       netflow_guard_baseline = next();
     } else if (arg == "--dag-guard") {
@@ -736,7 +755,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--scale quick|full] [--out FILE] "
                    "[--guard BASELINE] [--checkpoint-guard DIR] "
-                   "[--scan-guard] [--netflow-guard BASELINE] [--dag-guard] "
+                   "[--scan-guard BASELINE] [--netflow-guard BASELINE] "
+                   "[--dag-guard] "
                    "[--phases CSV]\n",
                    argv[0]);
       return 2;
@@ -748,10 +768,7 @@ int main(int argc, char** argv) {
   if (!checkpoint_guard_dir.empty()) {
     bool ok = false;
     const std::vector<Row> rows = run_checkpoint_guard(checkpoint_guard_dir, ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    for (const Row& row : rows) print_row(row);
     std::printf("checkpoint-guard: %s\n", ok ? "met" : "NOT met");
     return ok ? 0 : 1;
   }
@@ -761,10 +778,7 @@ int main(int argc, char** argv) {
   if (dag_guard) {
     bool ok = false;
     const std::vector<Row> rows = run_dag_guard(ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    for (const Row& row : rows) print_row(row);
     std::printf("dag-guard: %s\n", ok ? "met" : "NOT met");
     return ok ? 0 : 1;
   }
@@ -774,10 +788,7 @@ int main(int argc, char** argv) {
   if (!netflow_guard_baseline.empty()) {
     bool ok = false;
     const std::vector<Row> rows = run_netflow_guard(netflow_guard_baseline, ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+    for (const Row& row : rows) print_row(row);
     std::string json = "{\n  \"experiment\": \"netflow_trend_guard\",\n";
     append_rows(json, "rows", rows);
     json += ",\n  \"guard\": \"records >= 100x corpus, tracked < 64MiB, rss "
@@ -797,15 +808,24 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  // The stateless-vs-legacy sweep comparison is also its own mode, for the
-  // same reason.
-  if (scan_guard) {
-    bool ok = false;
-    const std::vector<Row> rows = run_scan_guard(ok);
-    for (const Row& row : rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+  // --scan-guard BASELINE holds the fault-free sweep against the committed
+  // scan_sweep entry: --guard's bounds on its row (probed count exact, rate
+  // floor skipped on a single worker), and the open count and digest exact,
+  // since fault-free verdicts are rng-independent.
+  if (!scan_guard_baseline.empty()) {
+    const SweepRow sweep = run_sweep();
+    print_row(sweep.row);
+    bool ok = check_guard(scan_guard_baseline, {sweep.row});
+    const BaselineRow base =
+        find_baseline_row(read_file(scan_guard_baseline), "scan_sweep");
+    if (sweep.open != base.open || sweep.open_fnv1a != base.open_fnv1a) {
+      std::fprintf(stderr,
+                   "scan-guard: open set drifted (%llu hosts, digest %016llx; "
+                   "baseline %llu, %016llx)\n",
+                   sweep.open, static_cast<unsigned long long>(sweep.open_fnv1a),
+                   base.open, static_cast<unsigned long long>(base.open_fnv1a));
+      ok = false;
+    }
     std::printf("scan-guard: %s\n", ok ? "met" : "NOT met");
     return ok ? 0 : 1;
   }
@@ -814,16 +834,18 @@ int main(int argc, char** argv) {
       skip_transports ? std::vector<Row>{} : run_transports();
   const std::vector<Row> phases = run_phases(scale, phase_filter);
 
-  for (const auto& rows : {&transports, &phases})
-    for (const Row& row : *rows)
-      std::printf("%-22s %12llu %-12s %8.3f s %12.1f qps %8.2f allocs/q\n",
-                  row.name.c_str(), row.queries, row.unit.c_str(), row.seconds,
-                  row.qps, row.allocs_per_query);
+  // The sweep baseline rides along so a regenerated BENCH_throughput.json
+  // keeps the entry --scan-guard reads; a --phases run skips it.
+  const std::optional<SweepRow> sweep =
+      skip_transports ? std::nullopt : std::optional<SweepRow>(run_sweep());
+
+  std::vector<Row> all = transports;
+  all.insert(all.end(), phases.begin(), phases.end());
+  if (sweep) all.push_back(sweep->row);
+  for (const Row& row : all) print_row(row);
 
   bool guard_met = true;
   if (!guard_path.empty()) {
-    std::vector<Row> all = transports;
-    all.insert(all.end(), phases.begin(), phases.end());
     guard_met = check_guard(guard_path, all);
     // Absolute per-phase allocation ceilings bind at full scale only: quick
     // scale spreads world/study setup over a handful of work units.
@@ -837,6 +859,10 @@ int main(int argc, char** argv) {
   append_rows(json, "transports", transports);
   json += ",\n";
   append_rows(json, "phases", phases);
+  if (sweep) {
+    json += ",\n";
+    append_sweep(json, *sweep);
+  }
   if (!guard_path.empty()) {
     json += ",\n  \"guard\": \"queries equal, allocs <= baseline*1.25+2, "
             "qps >= 0.25*baseline\",\n";

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "scan/scanner.hpp"
@@ -86,9 +87,8 @@ BENCHMARK(BM_SnapshotToJson);
 double time_scan_once_ms(bool obs_enabled) {
   obs::set_enabled(obs_enabled);
   world::World world;
-  scan::CampaignConfig config;
-  config.thread_count = 1;
-  scan::Scanner scanner(world, config);
+  exec::WorkerPool pool(1);
+  scan::Scanner scanner(world, {}, pool);
   const auto start = std::chrono::steady_clock::now();
   const auto snapshot = scanner.scan_once(util::Date{2019, 2, 1});
   const std::chrono::duration<double, std::milli> elapsed =

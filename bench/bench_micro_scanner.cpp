@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "exec/executor.hpp"
 #include "scan/permutation.hpp"
 #include "scan/scanner.hpp"
 #include "scan/space.hpp"
@@ -76,9 +77,8 @@ BENCHMARK(BM_SynProbe);
 double time_scan_once_ms(unsigned threads, bool fault_hooks_installed = true) {
   world::World world;
   if (!fault_hooks_installed) world.disable_fault_injection();
-  scan::CampaignConfig config;
-  config.thread_count = threads;
-  scan::Scanner scanner(world, config);
+  exec::WorkerPool pool(threads);
+  scan::Scanner scanner(world, {}, pool);
   const auto start = std::chrono::steady_clock::now();
   const auto snapshot = scanner.scan_once(util::Date{2019, 2, 1});
   const std::chrono::duration<double, std::milli> elapsed =

@@ -5,6 +5,7 @@
 //   $ ./reachability_probe
 #include <cstdio>
 
+#include "exec/executor.hpp"
 #include "measure/reachability.hpp"
 #include "proxy/proxy.hpp"
 #include "world/world.hpp"
@@ -57,12 +58,13 @@ void print_results(const measure::ReachabilityResults& results) {
 
 int main() {
   world::World world;
+  exec::WorkerPool pool;  // ENCDNS_THREADS, else one thread per core
 
   proxy::ProxyConfig global_config;  // ProxyRack-like, worldwide
   proxy::ProxyNetwork global(world, global_config, 101);
   measure::ReachabilityConfig config;
   config.client_count = 2500;
-  measure::ReachabilityTest global_test(world, global, config);
+  measure::ReachabilityTest global_test(world, global, config, pool);
   print_results(global_test.run());
 
   proxy::ProxyConfig cn_config;  // Zhima-like, censored network
@@ -71,7 +73,7 @@ int main() {
   proxy::ProxyNetwork censored(world, cn_config, 102);
   config.client_count = 1500;
   config.seed = 103;
-  measure::ReachabilityTest cn_test(world, censored, config);
+  measure::ReachabilityTest cn_test(world, censored, config, pool);
   print_results(cn_test.run());
   return 0;
 }

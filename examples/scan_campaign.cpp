@@ -5,6 +5,7 @@
 //   $ ./scan_campaign
 #include <cstdio>
 
+#include "exec/executor.hpp"
 #include "scan/doh_prober.hpp"
 #include "scan/scanner.hpp"
 #include "util/stats.hpp"
@@ -14,11 +15,12 @@ using namespace encdns;
 
 int main() {
   world::World world;
+  exec::WorkerPool pool;  // ENCDNS_THREADS, else one thread per core
 
   scan::CampaignConfig config;
   config.scan_count = 2;
   config.interval_days = 89;  // Feb 1 and May 1 2019
-  scan::Scanner scanner(world, config);
+  scan::Scanner scanner(world, config, pool);
 
   std::printf("scan space: %llu addresses across %zu prefixes\n\n",
               static_cast<unsigned long long>(scanner.space().size()),

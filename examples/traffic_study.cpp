@@ -4,6 +4,7 @@
 //   $ ./traffic_study
 #include <cstdio>
 
+#include "exec/executor.hpp"
 #include "traffic/netflow_study.hpp"
 #include "traffic/passive_dns.hpp"
 
@@ -11,8 +12,10 @@ using namespace encdns;
 
 int main() {
   // --- DoT via NetFlow (Figures 11 and 12) -----------------------------------
+  exec::WorkerPool pool;  // ENCDNS_THREADS, else one thread per core
   traffic::NetflowStudyConfig config;
-  traffic::NetflowStudy study(config, traffic::big_resolver_address_list());
+  traffic::NetflowStudy study(config, traffic::big_resolver_address_list(),
+                              pool);
   const auto netflow = study.run();
 
   std::printf("monthly sampled DoT flow records (1/%d packet sampling):\n",

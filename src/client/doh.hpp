@@ -51,11 +51,8 @@ class DohClient {
 
   /// Slot-reusing twin of `query` (DESIGN.md §12): resets and refills `out`
   /// in place, keeping its warmed response/chain storage. `query` wraps this.
-  /// Not allocation-free when warm, unlike the Do53 twins: every TCP exchange
-  /// copies the TLS server name into its net::WireRequest, a std::string that
-  /// allocates once the name outgrows the small-string buffer (any DoH host
-  /// like mozilla.cloudflare-dns.com; DoT only with a long auth_name). That
-  /// is one allocation per lookup, pinned in tests/alloc.
+  /// With a warm connection a lookup the resolver answers from its cache
+  /// allocates nothing, as in the Do53 and DoT twins (pinned in tests/alloc).
   void query_into(const http::UriTemplate& uri_template, const dns::Name& qname,
                   dns::RrType type, const util::Date& date,
                   const Options& options, QueryOutcome& out);

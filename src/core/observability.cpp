@@ -100,17 +100,16 @@ void Study::commit_phase_node(const std::string& phase) {
 }
 
 void Study::run_graph(exec::TaskGraph& graph) {
-  // One pool for every phase: ready nodes from different phases interleave
-  // their shards in its queue (DESIGN.md §15).
-  exec::WorkerPool pool(config_.thread_count);
-  shared_pool_ = &pool;
+  // Ready nodes from different phases interleave their shards in pool_'s
+  // queue (DESIGN.md §15).
+  in_graph_ = true;
   try {
     graph.run();
   } catch (...) {
-    shared_pool_ = nullptr;
+    in_graph_ = false;
     throw;
   }
-  shared_pool_ = nullptr;
+  in_graph_ = false;
 }
 
 bool Study::load_committed_phase(const std::string& phase) {
@@ -127,7 +126,7 @@ bool Study::load_committed_phase(const std::string& phase) {
 }
 
 bool Study::run_journaled_outside_graph(const std::string& phase) {
-  if (!checkpoint_ || shared_pool_ != nullptr) return false;
+  if (!checkpoint_ || in_graph_) return false;
   if (load_committed_phase(phase)) return true;
   exec::TaskGraph graph;
   (void)graph.add(

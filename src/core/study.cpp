@@ -34,22 +34,8 @@ StudyConfig StudyConfig::quick() {
   return config;
 }
 
-Study::Study(StudyConfig config) : config_(std::move(config)) {
-  // Propagate the top-level thread knob into every experiment that has not
-  // been given its own.
-  if (config_.campaign.thread_count == 0)
-    config_.campaign.thread_count = config_.thread_count;
-  if (config_.reachability_global.thread_count == 0)
-    config_.reachability_global.thread_count = config_.thread_count;
-  if (config_.reachability_cn.thread_count == 0)
-    config_.reachability_cn.thread_count = config_.thread_count;
-  if (config_.performance.thread_count == 0)
-    config_.performance.thread_count = config_.thread_count;
-  if (config_.netflow.thread_count == 0)
-    config_.netflow.thread_count = config_.thread_count;
-  if (config_.trend.thread_count == 0)
-    config_.trend.thread_count = config_.thread_count;
-
+Study::Study(StudyConfig config)
+    : config_(std::move(config)), pool_(config_.thread_count) {
   world_ = std::make_unique<world::World>(config_.world);
 
   proxy::ProxyConfig global;
@@ -324,11 +310,10 @@ void Study::decode_phase_state(const std::string& phase,
 const std::vector<scan::ScanSnapshot>& Study::scans() {
   if (scans_ || run_journaled_outside_graph("scan_campaign")) return *scans_;
   scan::CampaignConfig cfg = config_.campaign;
-  cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_SCAN", scan_cancel_);
   const auto hook = phase_checkpoint("scan_campaign");
   cfg.checkpoint = hook.get();
-  scan::Scanner scanner(*world_, cfg);
+  scan::Scanner scanner(*world_, cfg, pool_);
   scans_ = scanner.run_campaign();
   stash_commit("scan_campaign", *scans_, scan::encode_snapshots);
   return *scans_;
@@ -349,10 +334,8 @@ const scan::DohScanResult& Study::doh_scan() {
   if (doh_scan_ || run_journaled_outside_graph("doh_scan")) return *doh_scan_;
   scan::DohScanConfig cfg;
   cfg.seed = config_.campaign.seed ^ 0xED0ULL;
-  cfg.thread_count = config_.thread_count;
   cfg.scan_window = config_.campaign.scan_window;
   cfg.scan_rate = config_.campaign.scan_rate;
-  cfg.pool = shared_pool_;
   // This phase budgets under ENCDNS_DEADLINE_DOH_SCAN, falling back to the
   // ENCDNS_DEADLINE_SCAN *value* when unset — but always through its own
   // token. Sharing scan_cancel_ here used to hand this phase a token the
@@ -361,8 +344,8 @@ const scan::DohScanResult& Study::doh_scan() {
                                ? "ENCDNS_DEADLINE_DOH_SCAN"
                                : "ENCDNS_DEADLINE_SCAN";
   cfg.cancel = phase_cancel(budget_env, doh_scan_cancel_);
-  doh_scan_ =
-      scan::run_doh_scan(*world_, cfg, config_.campaign.start.plus_days(60));
+  doh_scan_ = scan::run_doh_scan(*world_, cfg,
+                                 config_.campaign.start.plus_days(60), pool_);
   stash_commit("doh_scan", *doh_scan_, scan::encode_doh_scan);
   return *doh_scan_;
 }
@@ -379,11 +362,10 @@ const measure::ReachabilityResults& Study::reachability_global() {
   if (reach_global_ || run_journaled_outside_graph("reachability_global"))
     return *reach_global_;
   measure::ReachabilityConfig cfg = config_.reachability_global;
-  cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
   const auto hook = phase_checkpoint("reachability_global");
   cfg.checkpoint = hook.get();
-  measure::ReachabilityTest test(*world_, *global_platform_, cfg);
+  measure::ReachabilityTest test(*world_, *global_platform_, cfg, pool_);
   reach_global_ = test.run();
   stash_commit("reachability_global", *reach_global_,
                measure::encode_reachability);
@@ -398,11 +380,10 @@ const measure::ReachabilityResults& Study::reachability_cn() {
   // combined budget for the global and censored platforms together. (The
   // graph serializes the two — reachability_cn depends on
   // reachability_global — so the shared slot is never raced.)
-  cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_REACH", reach_cancel_);
   const auto hook = phase_checkpoint("reachability_cn");
   cfg.checkpoint = hook.get();
-  measure::ReachabilityTest test(*world_, *cn_platform_, cfg);
+  measure::ReachabilityTest test(*world_, *cn_platform_, cfg, pool_);
   reach_cn_ = test.run();
   stash_commit("reachability_cn", *reach_cn_, measure::encode_reachability);
   return *reach_cn_;
@@ -412,11 +393,10 @@ const measure::PerformanceResults& Study::performance() {
   if (performance_ || run_journaled_outside_graph("performance"))
     return *performance_;
   measure::PerformanceConfig cfg = config_.performance;
-  cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_PERF", perf_cancel_);
   const auto hook = phase_checkpoint("performance");
   cfg.checkpoint = hook.get();
-  measure::PerformanceTest test(*world_, *global_platform_, cfg);
+  measure::PerformanceTest test(*world_, *global_platform_, cfg, pool_);
   performance_ = test.run();
   stash_commit("performance", *performance_, measure::encode_performance);
   return *performance_;
@@ -432,11 +412,11 @@ const std::vector<measure::NoReuseRow>& Study::no_reuse() {
 const traffic::NetflowStudyResults& Study::netflow() {
   if (netflow_ || run_journaled_outside_graph("netflow")) return *netflow_;
   traffic::NetflowStudyConfig cfg = config_.netflow;
-  cfg.pool = shared_pool_;
   cfg.cancel = phase_cancel("ENCDNS_DEADLINE_NETFLOW", netflow_cancel_);
   const auto hook = phase_checkpoint("netflow");
   cfg.checkpoint = hook.get();
-  traffic::NetflowStudy study(cfg, traffic::big_resolver_address_list());
+  traffic::NetflowStudy study(cfg, traffic::big_resolver_address_list(),
+                              pool_);
   netflow_ = study.run();
   stash_commit("netflow", *netflow_, traffic::encode_netflow_results);
   return *netflow_;
@@ -446,7 +426,6 @@ const traffic::TrendStudyResults& Study::netflow_trend() {
   if (netflow_trend_ || run_journaled_outside_graph("netflow_trend"))
     return *netflow_trend_;
   traffic::TrendStudyConfig cfg = config_.trend;
-  cfg.pool = shared_pool_;
   // ENCDNS_NETFLOW_SCALE multiplies the configured scale (quick() runs at
   // 0.02; the soak and bench tiers push it back up) and
   // ENCDNS_HLL_PRECISION overrides the sketch width. Both change the
@@ -477,7 +456,7 @@ const traffic::TrendStudyResults& Study::netflow_trend() {
   cfg.cancel = phase_cancel(budget_env, netflow_trend_cancel_);
   const auto hook = phase_checkpoint("netflow_trend");
   cfg.checkpoint = hook.get();
-  traffic::TrendStudy study(cfg);
+  traffic::TrendStudy study(cfg, pool_);
   netflow_trend_ = study.run();
   stash_commit("netflow_trend", *netflow_trend_, traffic::encode_trend_results);
   return *netflow_trend_;

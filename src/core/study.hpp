@@ -12,6 +12,7 @@
 
 #include "core/checkpoint/checkpoint.hpp"
 #include "exec/cancel.hpp"
+#include "exec/executor.hpp"
 #include "fault/retry.hpp"
 #include "measure/local_probe.hpp"
 #include "obs/profiler.hpp"
@@ -78,9 +79,9 @@ struct StudyConfig {
   traffic::TrendStudyConfig trend;
   traffic::PassiveDnsStudyConfig passive_dns;
 
-  /// Worker threads for every parallel experiment; 0 = auto (ENCDNS_THREADS
-  /// env or hardware_concurrency). Propagated into each sub-config whose own
-  /// thread_count is 0. Results are identical for every value.
+  /// Size of the study's one worker pool, which runs every phase's fan-out;
+  /// 0 = auto (ENCDNS_THREADS env or hardware_concurrency). Results are
+  /// identical for every value.
   unsigned thread_count = 0;
 
   /// Full-scale run approximating the paper's dataset sizes. Minutes of CPU.
@@ -136,7 +137,7 @@ class Study {
 
   /// Run (and cache) the full study and return the observability report.
   /// The phases run as one dependency graph (exec::TaskGraph, DESIGN.md
-  /// §15): independent phases overlap on one shared worker pool, and each
+  /// §15): independent phases overlap on the study's worker pool, and each
   /// phase's metrics are attributed by its own obs::PhaseTally and folded
   /// into the report's six phase records. When no experiment has been
   /// forced yet the global MetricsRegistry is reset first, so a fresh Study
@@ -175,8 +176,8 @@ class Study {
   [[nodiscard]] std::vector<PhaseCoverage> data_quality_report();
 
  private:
-  /// Run `graph` with every phase's fan-out routed through one worker pool
-  /// (shared_pool_), which also marks the graph run for the accessors.
+  /// Run `graph`, marking the run for the accessors (in_graph_). Node
+  /// bodies run on graph threads and submit their fan-out to pool_.
   void run_graph(exec::TaskGraph& graph);
   /// Accessor prologue under a journal: outside a graph run, load `phase`
   /// from the journal or run it as a one-node graph (same run_phase_node
@@ -228,6 +229,9 @@ class Study {
       const char* env_name, std::optional<exec::CancelToken>& slot);
 
   StudyConfig config_;
+  /// The one worker pool (config_.thread_count threads): every phase, in a
+  /// graph run or forced through its accessor, fans out on it.
+  exec::WorkerPool pool_;
   std::unique_ptr<world::World> world_;
   std::unique_ptr<proxy::ProxyNetwork> global_platform_;
   std::unique_ptr<proxy::ProxyNetwork> cn_platform_;
@@ -247,10 +251,10 @@ class Study {
   /// phase must not inherit a token the netflow phase already tripped.
   std::optional<exec::CancelToken> netflow_trend_cancel_;
 
-  // Graph run state. shared_pool_ is non-null only during a graph run and
-  // routes the accessors' fan-out through the one pool the graph owns;
+  // Graph run state. in_graph_ is true only during a graph run (set and
+  // cleared on the driver thread, outside the node threads' lifetimes);
   // dag_mutex_ guards the maps, which node threads fill concurrently.
-  exec::WorkerPool* shared_pool_ = nullptr;
+  bool in_graph_ = false;
   std::mutex dag_mutex_;
   std::map<std::string, obs::Snapshot> phase_deltas_;
   std::map<std::string, double> phase_walls_;

@@ -71,8 +71,9 @@ std::vector<CountryLatency> PerformanceResults::by_country(
 
 PerformanceTest::PerformanceTest(const world::World& world,
                                  proxy::ProxyNetwork& platform,
-                                 PerformanceConfig config)
-    : world_(&world), platform_(&platform), config_(config) {
+                                 PerformanceConfig config,
+                                 exec::WorkerPool& pool)
+    : world_(&world), platform_(&platform), config_(config), pool_(&pool) {
   for (auto& candidate : default_targets())
     if (candidate.name == config_.target_name) target_ = candidate;
 }
@@ -268,17 +269,13 @@ PerformanceResults PerformanceTest::run() {
     }
   }
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
   constexpr std::size_t kBlock = 512;
   bool cancelled = config_.cancel != nullptr && config_.cancel->cancelled();
   while (processed < sessions.size() && !cancelled) {
     const std::size_t first = processed;
     const std::size_t count = std::min(kBlock, sessions.size() - first);
     std::vector<ClientPartial> partials(count);
-    const std::size_t executed = pool.parallel_for_shards(
+    const std::size_t executed = pool_->parallel_for_shards(
         count,
         [&](std::size_t i) {
           partials[i] = measure_client(sessions[first + i], first + i);

@@ -57,9 +57,6 @@ struct PerformanceConfig {
   std::uint64_t seed = 13;
   /// Resolver under test (Figure 9/10 use Cloudflare).
   std::string target_name = "Cloudflare";
-  /// Worker threads for the per-client fan-out; 0 = auto (ENCDNS_THREADS env
-  /// or hardware_concurrency). Results are identical for every value.
-  unsigned thread_count = 0;
   /// Attempts per query before the client is considered failed (transient
   /// statuses only; the successful attempt's latency is what gets recorded).
   int query_attempts = 3;
@@ -71,8 +68,6 @@ struct PerformanceConfig {
   /// both optional, same semantics as ReachabilityConfig.
   exec::CancelToken* cancel = nullptr;
   exec::CheckpointHook* checkpoint = nullptr;
-  /// Shared worker pool (task-graph mode); null = private pool.
-  exec::WorkerPool* pool = nullptr;
 };
 
 struct PerformanceResults {
@@ -96,8 +91,10 @@ struct PerformanceResults {
 
 class PerformanceTest {
  public:
+  /// `pool` runs the client sessions (results do not depend on its size)
+  /// and must outlive the test.
   PerformanceTest(const world::World& world, proxy::ProxyNetwork& platform,
-                  PerformanceConfig config = {});
+                  PerformanceConfig config, exec::WorkerPool& pool);
 
   [[nodiscard]] PerformanceResults run();
 
@@ -105,6 +102,7 @@ class PerformanceTest {
   const world::World* world_;
   proxy::ProxyNetwork* platform_;
   PerformanceConfig config_;
+  exec::WorkerPool* pool_;
   ResolverTarget target_;
 };
 

@@ -33,10 +33,12 @@ const OutcomeCounts& ReachabilityResults::cell(const std::string& resolver,
 
 ReachabilityTest::ReachabilityTest(const world::World& world,
                                    proxy::ProxyNetwork& platform,
-                                   ReachabilityConfig config)
+                                   ReachabilityConfig config,
+                                   exec::WorkerPool& pool)
     : world_(&world),
       platform_(&platform),
       config_(config),
+      pool_(&pool),
       targets_(default_targets()) {
   // Parse every DoH URI template once, not once per query attempt.
   doh_templates_.reserve(targets_.size());
@@ -339,10 +341,6 @@ ReachabilityResults ReachabilityTest::run() {
     }
   }
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
   constexpr std::size_t kBlock = 512;
   bool cancelled =
       config_.cancel != nullptr && config_.cancel->cancelled();
@@ -350,7 +348,7 @@ ReachabilityResults ReachabilityTest::run() {
     const std::size_t first = processed;
     const std::size_t count = std::min(kBlock, sessions.size() - first);
     std::vector<SessionPartial> partials(count);
-    const std::size_t executed = pool.parallel_for_shards(
+    const std::size_t executed = pool_->parallel_for_shards(
         count,
         [&](std::size_t i) {
           util::Rng rng = exec::shard_rng(config_.seed ^ 0x4EAC4ULL, first + i);

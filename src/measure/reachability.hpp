@@ -68,9 +68,6 @@ struct ReachabilityConfig {
   sim::Millis timeout{30000.0};
   util::Date date{2019, 3, 15};
   std::uint64_t seed = 11;
-  /// Worker threads for the per-vantage fan-out; 0 = auto (ENCDNS_THREADS env
-  /// or hardware_concurrency). Results are identical for every value.
-  unsigned thread_count = 0;
   /// Backoff knobs for the retry loop (max_attempts/timeout above stay
   /// authoritative for the attempt count and per-attempt deadline).
   fault::RetryPolicy retry;
@@ -85,8 +82,6 @@ struct ReachabilityConfig {
   /// its state-so-far after every non-final session block and resumes after
   /// the last completed block on load. Optional.
   exec::CheckpointHook* checkpoint = nullptr;
-  /// Shared worker pool (task-graph mode); null = private pool.
-  exec::WorkerPool* pool = nullptr;
 };
 
 struct ReachabilityResults {
@@ -111,8 +106,10 @@ struct ReachabilityResults {
 
 class ReachabilityTest {
  public:
+  /// `pool` runs the vantage sessions (results do not depend on its size)
+  /// and must outlive the test.
   ReachabilityTest(const world::World& world, proxy::ProxyNetwork& platform,
-                   ReachabilityConfig config = {});
+                   ReachabilityConfig config, exec::WorkerPool& pool);
 
   [[nodiscard]] ReachabilityResults run();
 
@@ -120,6 +117,7 @@ class ReachabilityTest {
   const world::World* world_;
   proxy::ProxyNetwork* platform_;
   ReachabilityConfig config_;
+  exec::WorkerPool* pool_;
   std::vector<ResolverTarget> targets_;
   /// Pre-parsed DoH URI templates, aligned with targets_ (parsed once at
   /// construction instead of once per query attempt).

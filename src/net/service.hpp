@@ -10,6 +10,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/geo.hpp"
@@ -31,7 +32,9 @@ struct WireRequest {
   Transport transport = Transport::kTcp;
   util::Ipv4 dst;
   std::uint16_t port = 0;
-  std::string sni;  // TLS server name (empty for clear-text or no-SNI)
+  /// TLS server name (empty for clear-text or no-SNI). Like `payload`, a
+  /// view into the caller's storage, valid for the duration of the call.
+  std::string_view sni;
   std::span<const std::uint8_t> payload;
   util::Date date;         // simulation date of the request
   Location client;         // where the client appears from

@@ -1,7 +1,6 @@
 #include "scan/doh_scan.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_set>
 
 #include "client/doh.hpp"
@@ -41,7 +40,8 @@ std::size_t DohScanResult::hosts_beyond(
 }
 
 DohScanResult run_doh_scan(const world::World& world,
-                           const DohScanConfig& config, const util::Date& date) {
+                           const DohScanConfig& config, const util::Date& date,
+                           exec::WorkerPool& pool) {
   OBS_SPAN_VAR(scan_span, "scan.doh_scan");
   DohScanResult result;
   result.date = date;
@@ -57,12 +57,10 @@ DohScanResult run_doh_scan(const world::World& world,
   engine_config.seed = config.seed ^ 0xED0D05ULL;
   engine_config.port = kHttpsPort;
   engine_config.max_attempts = 1 + std::max(config.sweep_retries, 0);
-  engine_config.thread_count = config.thread_count;
   engine_config.window = config.scan_window;
   engine_config.pace_qps = config.scan_rate;
   engine_config.cancel = config.cancel;
-  engine_config.pool = config.pool;
-  ScanEngine engine(world, engine_config);
+  ScanEngine engine(world, engine_config, pool);
   SweepResult sweep = engine.sweep(space, permutation, origins, date);
   result.addresses_probed = sweep.tally.probed;
   result.port443_open = sweep.open_hosts.size();
@@ -78,10 +76,6 @@ DohScanResult run_doh_scan(const world::World& world,
   // address (the learned name supplies SNI and certificate validation). One
   // task per host with an address-derived rng stream, exactly like the DoT
   // campaign's Phase 2, so the result is thread-count invariant.
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config.pool != nullptr
-                               ? *config.pool
-                               : local_pool.emplace(config.thread_count);
   const std::uint64_t probe_seed = util::mix64(config.seed ^ 0xD0A5CA4ULL);
   const auto probes = exec::parallel_map(
       pool, sweep.open_hosts,

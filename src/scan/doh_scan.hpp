@@ -21,8 +21,6 @@ namespace encdns::scan {
 
 struct DohScanConfig {
   std::uint64_t seed = 7;
-  /// Worker threads for the sweep and the directed probing; 0 = auto.
-  unsigned thread_count = 0;
   /// Extra SYN attempts when a sweep probe comes back filtered.
   int sweep_retries = 1;
   /// Directed-probe attempts on transient failures per (host, path).
@@ -33,8 +31,6 @@ struct DohScanConfig {
   /// Cooperative cancellation for the sweep (the directed-probe tail runs
   /// over the open set only, which is tiny).
   exec::CancelToken* cancel = nullptr;
-  /// Shared worker pool (task-graph mode); null = private pool.
-  exec::WorkerPool* pool = nullptr;
 };
 
 /// One confirmed IP-directed DoH endpoint.
@@ -70,10 +66,11 @@ struct DohScanResult {
       const std::vector<std::string>& known) const;
 };
 
-/// Run the whole scan at `date`: engine sweep on 443, certificate peek,
-/// directed DoH probes. Deterministic and thread-count invariant.
+/// Run the whole scan at `date` on `pool`: engine sweep on 443, certificate
+/// peek, directed DoH probes. Deterministic and thread-count invariant.
 [[nodiscard]] DohScanResult run_doh_scan(const world::World& world,
                                          const DohScanConfig& config,
-                                         const util::Date& date);
+                                         const util::Date& date,
+                                         exec::WorkerPool& pool);
 
 }  // namespace encdns::scan

@@ -17,8 +17,8 @@ namespace encdns::scan {
 
 namespace {
 
-// Mirrors the scanner's fixed Phase-1 shard count: part of the deterministic
-// contract, never a function of the thread count.
+// Fixed Phase-1 shard count: part of the deterministic contract (it pins
+// the per-shard streams), never a function of the thread count.
 constexpr std::size_t kSweepShards = 64;
 
 // Cancellation poll stride inside a shard's transmit walk. Wall/manual
@@ -265,9 +265,9 @@ class ShardRun {
     if (item.attempt > 0) ++tally.faults.recovered;
   }
 
-  /// Mirror of the legacy retry accounting: each retransmission counts one
-  /// injected fault; an address still unreachable on its final attempt
-  /// surfaces, a later success recovers.
+  /// Retry accounting: each retransmission counts one injected fault; an
+  /// address still unreachable on its final attempt surfaces, a later
+  /// success recovers.
   void filtered_verdict(const Pending& item) {
     EngineTally& tally = partial_->tally;
     if (static_cast<int>(item.attempt) + 1 <
@@ -361,9 +361,11 @@ EngineTally& EngineTally::operator+=(const EngineTally& other) noexcept {
   return *this;
 }
 
-ScanEngine::ScanEngine(const world::World& world, EngineConfig config)
+ScanEngine::ScanEngine(const world::World& world, EngineConfig config,
+                       exec::WorkerPool& pool)
     : world_(&world),
       config_(std::move(config)),
+      pool_(&pool),
       window_(resolve_window(config_.window)),
       pace_qps_(resolve_pace(config_.pace_qps)) {}
 
@@ -385,12 +387,8 @@ SweepResult ScanEngine::sweep(const ScanSpace& space,
     if (const auto index = space.index_of(addr))
       bound[static_cast<std::size_t>(*index)] = true;
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
   std::vector<ShardPartial> partials(kSweepShards);
-  pool.parallel_for_shards(
+  pool_->parallel_for_shards(
       kSweepShards,
       [&](std::size_t shard) {
         const auto [first, last] =

@@ -6,12 +6,12 @@
 // transmission stalls when the window is full until the receive side drains
 // a response and frees a credit.
 //
-// Determinism: work is split over the same 64 fixed shards as the rest of
-// the scanner, every stochastic draw is keyed by the probe's own cookie
-// (never by transmit order), open hosts are recorded in canonical
-// permutation order regardless of response arrival order, and shard
-// partials merge in shard order — so results are bit-identical for any
-// thread count, window size, or pacing rate.
+// Determinism: work is split over 64 fixed shards whatever the pool size,
+// every stochastic draw is keyed by the probe's own cookie (never by
+// transmit order), open hosts are recorded in canonical permutation order
+// regardless of response arrival order, and shard partials merge in shard
+// order — so results are bit-identical for any thread count, window size,
+// or pacing rate.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +35,6 @@ struct EngineConfig {
   std::uint16_t port = 853;
   /// Total SYN attempts per address (1 + filtered retransmits).
   int max_attempts = 3;
-  unsigned thread_count = 0;
   /// In-flight window per shard (token-bucket credits). 0 = the
   /// ENCDNS_SCAN_WINDOW environment variable, else 256. Purely a flow
   /// bound: it never changes results, only internal drain order.
@@ -51,10 +50,8 @@ struct EngineConfig {
   exec::CancelToken* cancel = nullptr;
   /// Test hook: when > 0, trip `cancel` after this many transmissions
   /// (counted per shard), giving chaos tests a deterministic mid-shard cut
-  /// at thread_count 1.
+  /// on a one-thread pool.
   std::uint64_t cancel_after_tx = 0;
-  /// Shared worker pool (task-graph mode); null = private pool.
-  exec::WorkerPool* pool = nullptr;
 };
 
 /// Engine-side accounting for one sweep. The rejected_* counters are the
@@ -87,10 +84,13 @@ struct SweepResult {
 
 class ScanEngine {
  public:
-  ScanEngine(const world::World& world, EngineConfig config);
+  /// `pool` runs the sweep's shards (results do not depend on its size) and
+  /// must outlive the engine.
+  ScanEngine(const world::World& world, EngineConfig config,
+             exec::WorkerPool& pool);
 
   /// One stateless sweep of `space` on config.port from `origins` (rotated
-  /// per address exactly as the legacy sweep rotates them).
+  /// by address, so the assignment is shard-independent).
   [[nodiscard]] SweepResult sweep(const ScanSpace& space,
                                   const CyclicPermutation& permutation,
                                   const std::vector<world::Vantage>& origins,
@@ -102,6 +102,7 @@ class ScanEngine {
  private:
   const world::World* world_;
   EngineConfig config_;
+  exec::WorkerPool* pool_;
   std::size_t window_;
   double pace_qps_;
 };

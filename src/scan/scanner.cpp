@@ -15,10 +15,6 @@
 namespace encdns::scan {
 
 namespace {
-// Fixed Phase-1 shard count. Part of the deterministic contract: it pins the
-// per-shard rng streams, so it must never track the thread count.
-constexpr std::size_t kSweepShards = 64;
-
 // Per-probe counter updates are batched into the existing shard partials and
 // flushed at the serial merge: the sweep issues millions of probes per
 // snapshot, and per-probe atomics would show up in the <2% overhead guard.
@@ -84,9 +80,11 @@ std::vector<std::string> ScanSnapshot::invalid_cert_providers() const {
   return out;
 }
 
-Scanner::Scanner(const world::World& world, CampaignConfig config)
+Scanner::Scanner(const world::World& world, CampaignConfig config,
+                 exec::WorkerPool& pool)
     : world_(&world),
       config_(std::move(config)),
+      pool_(&pool),
       space_(world.scan_prefixes()),
       breaker_(config_.breaker_threshold) {
   for (const auto& country : config_.origin_countries)
@@ -99,101 +97,35 @@ Scanner::Scanner(const world::World& world, CampaignConfig config)
 
 std::vector<util::Ipv4> Scanner::sweep_once(const util::Date& date,
                                             ScanSnapshot& snapshot) {
-  // Phase 1: ZMap sweep of TCP/853 over the whole space in permutation order,
-  // split into a FIXED number of step-range shards. The shard count is part
-  // of the deterministic contract (it fixes the per-shard rng streams), so it
-  // never depends on the thread count; threads only schedule shards.
+  // Phase 1: the masscan-style engine (DESIGN.md §14) sweeps TCP/853 over
+  // the whole space in permutation order: decoupled transmit/receive loops,
+  // cookie-validated classification, bounded in-flight window.
   CyclicPermutation permutation(space_.size(),
                                 config_.seed * 1315423911ULL + scan_serial_);
   OBS_SPAN_VAR(sweep_span, "scan.sweep");
-  const std::uint64_t sweep_seed = config_.seed ^ (0xAB5C15ULL + scan_serial_);
-  std::vector<util::Ipv4> open_hosts;
-  if (config_.sweep_mode == SweepMode::kStateless) {
-    // The masscan-style engine (DESIGN.md §14): decoupled transmit/receive
-    // loops, cookie-validated classification, bounded in-flight window.
-    EngineConfig engine_config;
-    engine_config.seed = sweep_seed;
-    engine_config.port = dns::kDotPort;
-    engine_config.max_attempts = 1 + std::max(config_.sweep_retries, 0);
-    engine_config.thread_count = config_.thread_count;
-    engine_config.window = config_.scan_window;
-    engine_config.pace_qps = config_.scan_rate;
-    engine_config.cancel = config_.cancel;
-    ScanEngine engine(*world_, engine_config);
-    SweepResult sweep = engine.sweep(space_, permutation, origins_, date);
-    open_hosts = std::move(sweep.open_hosts);
-    const EngineTally& tally = sweep.tally;
-    snapshot.addresses_probed = tally.probed;
-    snapshot.faults += tally.faults;
-    snapshot.rejected_forgery = tally.rejected_forgery;
-    snapshot.rejected_duplicate = tally.rejected_duplicate;
-    snapshot.rejected_stale = tally.rejected_stale;
-    snapshot.retransmits = tally.retransmits;
-    sweep_span.add_sim(tally.sim_elapsed);
-    ScanMetrics::get().engine_tx.add(tally.transmitted);
-    ScanMetrics::get().engine_retransmits.add(tally.retransmits);
-    ScanMetrics::get().engine_forgery.add(tally.rejected_forgery);
-    ScanMetrics::get().engine_duplicate.add(tally.rejected_duplicate);
-    ScanMetrics::get().engine_stale.add(tally.rejected_stale);
-  } else {
-    // Legacy synchronous sweep: kept for the bench guard's stateless-vs-
-    // legacy comparison (tools/check.sh run_scan_guard).
-    struct SweepPartial {
-      std::uint64_t probed = 0;
-      std::vector<util::Ipv4> open_hosts;
-      fault::LayerTally faults;
-      sim::Millis sim_elapsed{0.0};  // credited to the sweep span at merge
-    };
-    std::vector<SweepPartial> partials(kSweepShards);
-    std::optional<exec::WorkerPool> local_pool;
-    exec::WorkerPool& pool = config_.pool != nullptr
-                                 ? *config_.pool
-                                 : local_pool.emplace(config_.thread_count);
-    pool.parallel_for_shards(kSweepShards, [&](std::size_t shard) {
-      const auto [first, last] =
-          exec::shard_range(permutation.steps(), kSweepShards, shard);
-      util::Rng rng = exec::shard_rng(sweep_seed, shard);
-      SweepPartial& partial = partials[shard];
-      auto walker = permutation.walk(first, last);
-      while (const auto index = walker.next()) {
-        const util::Ipv4 addr = space_.at(*index);
-        ++partial.probed;
-        // Rotate origins by address so the assignment is shard-independent.
-        const auto& origin = origins_[addr.value() % origins_.size()];
-        auto probe = world_->network().probe_tcp(origin.context, rng, addr,
-                                                 dns::kDotPort, date);
-        partial.sim_elapsed += probe.latency;
-        if (probe.status == net::Network::ProbeStatus::kFiltered) {
-          // From a clean origin a filtered verdict means the SYN (or its ACK)
-          // was dropped in flight, not a middlebox: re-probe before writing
-          // the host off. Extra rng draws happen only on this path, so
-          // fault-free sweeps remain byte-identical.
-          for (int retry = 0;
-               retry < config_.sweep_retries &&
-               probe.status == net::Network::ProbeStatus::kFiltered;
-               ++retry) {
-            ++partial.faults.injected;
-            probe = world_->network().probe_tcp(origin.context, rng, addr,
-                                                dns::kDotPort, date);
-            partial.sim_elapsed += probe.latency;
-          }
-          if (probe.status == net::Network::ProbeStatus::kFiltered)
-            ++partial.faults.surfaced;
-          else
-            ++partial.faults.recovered;
-        }
-        if (probe.status == net::Network::ProbeStatus::kOpen)
-          partial.open_hosts.push_back(addr);
-      }
-    });
-    for (const auto& partial : partials) {  // canonical shard-order merge
-      snapshot.addresses_probed += partial.probed;
-      open_hosts.insert(open_hosts.end(), partial.open_hosts.begin(),
-                        partial.open_hosts.end());
-      snapshot.faults += partial.faults;
-      sweep_span.add_sim(partial.sim_elapsed);
-    }
-  }
+  EngineConfig engine_config;
+  engine_config.seed = config_.seed ^ (0xAB5C15ULL + scan_serial_);
+  engine_config.port = dns::kDotPort;
+  engine_config.max_attempts = 1 + std::max(config_.sweep_retries, 0);
+  engine_config.window = config_.scan_window;
+  engine_config.pace_qps = config_.scan_rate;
+  engine_config.cancel = config_.cancel;
+  ScanEngine engine(*world_, engine_config, *pool_);
+  SweepResult sweep = engine.sweep(space_, permutation, origins_, date);
+  std::vector<util::Ipv4> open_hosts = std::move(sweep.open_hosts);
+  const EngineTally& tally = sweep.tally;
+  snapshot.addresses_probed = tally.probed;
+  snapshot.faults += tally.faults;
+  snapshot.rejected_forgery = tally.rejected_forgery;
+  snapshot.rejected_duplicate = tally.rejected_duplicate;
+  snapshot.rejected_stale = tally.rejected_stale;
+  snapshot.retransmits = tally.retransmits;
+  sweep_span.add_sim(tally.sim_elapsed);
+  ScanMetrics::get().engine_tx.add(tally.transmitted);
+  ScanMetrics::get().engine_retransmits.add(tally.retransmits);
+  ScanMetrics::get().engine_forgery.add(tally.rejected_forgery);
+  ScanMetrics::get().engine_duplicate.add(tally.rejected_duplicate);
+  ScanMetrics::get().engine_stale.add(tally.rejected_stale);
   snapshot.port_open = open_hosts.size();
   ScanMetrics::get().probes.add(snapshot.addresses_probed);
   ScanMetrics::get().open.add(snapshot.port_open);
@@ -205,10 +137,6 @@ ScanSnapshot Scanner::scan_once(const util::Date& date) {
   ScanSnapshot snapshot;
   snapshot.date = date;
   const std::vector<util::Ipv4> open_hosts = sweep_once(date, snapshot);
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
 
   // Phase 2: application-layer DoT probing of every open host, one task per
   // host with an address-derived rng stream (shard-count independent); the
@@ -221,7 +149,7 @@ ScanSnapshot Scanner::scan_once(const util::Date& date) {
   // recorded serially after the merge, in canonical address order, so the
   // breaker state entering the next scan is thread-count independent.
   const auto probe_results = exec::parallel_map(
-      pool, open_hosts,
+      *pool_, open_hosts,
       [&](const util::Ipv4 addr, std::size_t) -> std::optional<DotProbeResult> {
         if (breaker_.open(addr.value())) return std::nullopt;
         DotProber prober(*world_, probe_origin,

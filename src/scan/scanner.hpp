@@ -43,7 +43,7 @@ struct ScanSnapshot {
   /// Stateless-engine receive-loop verdicts (DESIGN.md §14): responses whose
   /// echoed cookie failed validation, second deliveries of one response, and
   /// late arrivals for already-retransmitted attempts. All zero without an
-  /// active fault profile (and on legacy-mode sweeps).
+  /// active fault profile.
   std::uint64_t rejected_forgery = 0;
   std::uint64_t rejected_duplicate = 0;
   std::uint64_t rejected_stale = 0;
@@ -60,14 +60,6 @@ struct ScanSnapshot {
   [[nodiscard]] std::vector<std::string> invalid_cert_providers() const;
 };
 
-/// Phase-1 sweep implementation. kStateless is the masscan-style engine
-/// (scan::ScanEngine, DESIGN.md §14) and the default everywhere; kLegacy
-/// keeps the synchronous per-shard probe loop for the bench guard's
-/// side-by-side comparison. Fault-free sweeps produce the identical open
-/// set either way (the verdicts are rng-independent), so the golden corpus
-/// does not depend on the mode.
-enum class SweepMode { kStateless, kLegacy };
-
 struct CampaignConfig {
   util::Date start{2019, 2, 1};
   int scan_count = 10;
@@ -75,16 +67,10 @@ struct CampaignConfig {
   std::uint64_t seed = 7;
   /// Scan origins, as in the paper: cloud machines in the US and China.
   std::vector<std::string> origin_countries = {"US", "US", "CN"};
-  /// Worker threads for the sweep and the DoT probing; 0 = auto
-  /// (ENCDNS_THREADS env or hardware_concurrency). Results are identical for
-  /// every value — see exec::WorkerPool.
-  unsigned thread_count = 0;
   /// Extra SYN attempts when a sweep probe comes back filtered. From the
   /// clean scan origins a filtered verdict means a dropped SYN, never a
   /// middlebox, so fault-free sweeps never retry (and stay byte-identical).
   int sweep_retries = 2;
-  /// Phase-1 implementation (see SweepMode above).
-  SweepMode sweep_mode = SweepMode::kStateless;
   /// Stateless-engine in-flight window per shard; 0 = ENCDNS_SCAN_WINDOW
   /// env, else 256. Flow control only — results never depend on it.
   std::size_t scan_window = 0;
@@ -104,25 +90,23 @@ struct CampaignConfig {
   /// Scan-boundary checkpointing: the campaign saves its snapshots, the
   /// circuit-breaker strikes and the scan serial after every non-final scan.
   exec::CheckpointHook* checkpoint = nullptr;
-  /// Shared worker pool (task-graph mode, DESIGN.md §15). When set the
-  /// campaign fans out on it instead of constructing its own, so shards
-  /// from overlapping phases interleave in one queue; thread_count is then
-  /// ignored. Null = private pool, as before.
-  exec::WorkerPool* pool = nullptr;
 };
 
 class Scanner {
  public:
-  Scanner(const world::World& world, CampaignConfig config);
+  /// `pool` runs the sweep and the DoT probing (results do not depend on
+  /// its size) and must outlive the Scanner.
+  Scanner(const world::World& world, CampaignConfig config,
+          exec::WorkerPool& pool);
 
   /// One full sweep + application-layer probing at `date`.
   [[nodiscard]] ScanSnapshot scan_once(const util::Date& date);
 
-  /// Phase 1 alone: sweep the space at `date` with the configured mode and
+  /// Phase 1 alone: sweep the space at `date` with the stateless engine and
   /// return the open set, accumulating probe accounting into `snapshot`.
   /// scan_once runs this then the application-layer probing; the bench's
-  /// scan guard calls it directly to time the two SweepModes side by side
-  /// without the (mode-independent) Phase-2 cost.
+  /// scan guard calls it directly to hold the sweep against its committed
+  /// baseline without the Phase-2 cost.
   [[nodiscard]] std::vector<util::Ipv4> sweep_once(const util::Date& date,
                                                    ScanSnapshot& snapshot);
 
@@ -134,6 +118,7 @@ class Scanner {
  private:
   const world::World* world_;
   CampaignConfig config_;
+  exec::WorkerPool* pool_;
   ScanSpace space_;
   std::vector<world::Vantage> origins_;
   std::unordered_map<std::uint32_t, std::string> geo_oracle_;

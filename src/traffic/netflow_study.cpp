@@ -1,7 +1,6 @@
 #include "traffic/netflow_study.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "exec/executor.hpp"
@@ -55,8 +54,11 @@ std::unordered_map<std::uint32_t, std::string> big_resolver_address_list() {
 
 NetflowStudy::NetflowStudy(
     NetflowStudyConfig config,
-    std::unordered_map<std::uint32_t, std::string> resolver_addresses)
-    : config_(std::move(config)), resolvers_(std::move(resolver_addresses)) {}
+    std::unordered_map<std::uint32_t, std::string> resolver_addresses,
+    exec::WorkerPool& pool)
+    : config_(std::move(config)),
+      resolvers_(std::move(resolver_addresses)),
+      pool_(&pool) {}
 
 NetflowStudyResults NetflowStudy::run() {
   OBS_SPAN("traffic.netflow");
@@ -144,16 +146,12 @@ NetflowStudyResults NetflowStudy::run() {
     }
   }
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
   bool cancelled = config_.cancel != nullptr && config_.cancel->cancelled();
   for (std::size_t g = groups_done; g < kGroups && !cancelled; ++g) {
     std::vector<ShardPartial> partials(kGroupShards,
                                        ShardPartial(config_.sampling_rate));
     const std::size_t base = g * kGroupShards;
-    const std::size_t executed = pool.parallel_for_shards(
+    const std::size_t executed = pool_->parallel_for_shards(
         kGroupShards,
         [&](std::size_t s) {
           const std::size_t shard = base + s;

@@ -26,17 +26,12 @@ struct NetflowStudyConfig {
   BackboneConfig backbone;
   double sampling_rate = 1.0 / 3000.0;
   std::uint64_t seed = 37;
-  /// Worker threads for the day-sharded aggregation; 0 = auto (ENCDNS_THREADS
-  /// env or hardware_concurrency). Results are identical for every value.
-  unsigned thread_count = 0;
   /// Cooperative cancellation + group-boundary checkpointing (DESIGN.md §13):
   /// the 16 day-range shards run as 4 sequential groups of 4; the study saves
   /// its accumulator after every non-final group and a tripped token cuts on
   /// an executed-shard prefix. Both optional.
   exec::CancelToken* cancel = nullptr;
   exec::CheckpointHook* checkpoint = nullptr;
-  /// Shared worker pool (task-graph mode); null = private pool.
-  exec::WorkerPool* pool = nullptr;
 };
 
 struct NetblockStat {
@@ -90,15 +85,18 @@ struct NetflowStudyResults {
 class NetflowStudy {
  public:
   /// `resolver_addresses` is the DoT resolver list built in §3 (address ->
-  /// resolver label, e.g. "cloudflare"/"quad9").
+  /// resolver label, e.g. "cloudflare"/"quad9"). `pool` runs the day shards
+  /// (results do not depend on its size) and must outlive the study.
   NetflowStudy(NetflowStudyConfig config,
-               std::unordered_map<std::uint32_t, std::string> resolver_addresses);
+               std::unordered_map<std::uint32_t, std::string> resolver_addresses,
+               exec::WorkerPool& pool);
 
   [[nodiscard]] NetflowStudyResults run();
 
  private:
   NetflowStudyConfig config_;
   std::unordered_map<std::uint32_t, std::string> resolvers_;
+  exec::WorkerPool* pool_;
 };
 
 /// Convenience: the resolver list for the two big DoT targets.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -196,8 +195,9 @@ std::uint64_t TrendStudyResults::clients_estimated_total() const {
   return total;
 }
 
-TrendStudy::TrendStudy(TrendStudyConfig config)
+TrendStudy::TrendStudy(TrendStudyConfig config, exec::WorkerPool& pool)
     : config_(std::move(config)),
+      pool_(&pool),
       providers_(config_.providers.empty() ? default_trend_providers()
                                            : config_.providers),
       events_(config_.events.empty() ? default_adoption_events()
@@ -285,15 +285,11 @@ TrendStudyResults TrendStudy::run() {
     std::uint64_t peak_tracked = 0;
   };
 
-  std::optional<exec::WorkerPool> local_pool;
-  exec::WorkerPool& pool = config_.pool != nullptr
-                               ? *config_.pool
-                               : local_pool.emplace(config_.thread_count);
   bool cancelled = config_.cancel != nullptr && config_.cancel->cancelled();
   for (std::size_t g = groups_done; g < kGroups && !cancelled; ++g) {
     std::vector<ShardPartial> partials(kGroupShards);
     const std::size_t base = g * kGroupShards;
-    const std::size_t executed = pool.parallel_for_shards(
+    const std::size_t executed = pool_->parallel_for_shards(
         kGroupShards,
         [&](std::size_t s) {
           const std::size_t shard = base + s;

@@ -115,11 +115,8 @@ struct TrendStudyConfig {
   std::size_t sample_rows = 32;
   std::vector<TrendProvider> providers;  ///< empty = default_trend_providers()
   std::vector<AdoptionEvent> events;     ///< empty = default_adoption_events()
-  /// Worker threads; 0 = auto. Results identical for every value.
-  unsigned thread_count = 0;
   exec::CancelToken* cancel = nullptr;
   exec::CheckpointHook* checkpoint = nullptr;
-  exec::WorkerPool* pool = nullptr;
 };
 
 /// The default four-provider model: Quad9 DoT, Cloudflare DoH, Google DoH,
@@ -153,7 +150,9 @@ struct TrendStudyResults {
 
 class TrendStudy {
  public:
-  explicit TrendStudy(TrendStudyConfig config);
+  /// `pool` runs the day shards (results do not depend on its size) and
+  /// must outlive the study.
+  TrendStudy(TrendStudyConfig config, exec::WorkerPool& pool);
 
   [[nodiscard]] TrendStudyResults run();
 
@@ -172,6 +171,7 @@ class TrendStudy {
 
  private:
   TrendStudyConfig config_;
+  exec::WorkerPool* pool_;
   std::vector<TrendProvider> providers_;
   std::vector<AdoptionEvent> events_;
 };

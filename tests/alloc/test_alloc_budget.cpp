@@ -68,6 +68,7 @@ void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 #include "dns/query.hpp"
 #include "dns/wire.hpp"
 #include "exec/arena.hpp"
+#include "exec/executor.hpp"
 #include "http/url.hpp"
 #include "measure/reachability.hpp"
 #include "proxy/proxy.hpp"
@@ -351,10 +352,8 @@ TEST_F(AllocBudgetTest, ReusedClientAndOutcomeAllocateOnlyForNewCacheEntries) {
   for (const auto& [transport, got] : runs) {
     SCOPED_TRACE(transport);
     EXPECT_EQ(got.failures, 0u);
-    // A cache hit allocates nothing, except that a DoH exchange copies the
-    // server name into each TCP request (net::WireRequest::sni, a
-    // std::string longer than the small-string buffer): one per lookup.
-    EXPECT_EQ(got.per_hit, transport == "doh_get" ? 1.0 : 0.0);
+    // A cache hit allocates nothing, on every transport.
+    EXPECT_EQ(got.per_hit, 0.0);
     // Every unique name adds exactly one cache entry, and costs every
     // transport the same allocations beyond its hit cost.
     EXPECT_EQ(got.entries_per_unique, 1.0);
@@ -388,20 +387,20 @@ TEST_F(AllocBudgetTest, ReachabilityPerClientBudget) {
   platform_config.kind = proxy::PlatformKind::kGlobal;
   proxy::ProxyNetwork platform(shared_world(), platform_config, 0x91ACULL);
 
+  exec::WorkerPool pool(1);  // inline workers: thread_local scratch persists
   measure::ReachabilityConfig config;
-  config.thread_count = 1;  // inline workers: thread_local scratch persists
   config.seed = 17;
 
   // Warm run: fills the thread-resident ClientSet, outcome scratch, arena
   // leases and the resolver caches' steady-state capacities.
   config.client_count = 150;
-  measure::ReachabilityTest warm(shared_world(), platform, config);
+  measure::ReachabilityTest warm(shared_world(), platform, config, pool);
   const auto warm_results = warm.run();
   ASSERT_EQ(warm_results.clients, 150u);
 
   constexpr std::size_t kClients = 400;
   config.client_count = kClients;
-  measure::ReachabilityTest test(shared_world(), platform, config);
+  measure::ReachabilityTest test(shared_world(), platform, config, pool);
   const auto before = g_alloc_count.load(std::memory_order_relaxed);
   const auto results = test.run();
   const auto after = g_alloc_count.load(std::memory_order_relaxed);

@@ -5,6 +5,7 @@
 // their *ThreadCountInvariant suites (DESIGN.md §6/§7).
 #include <gtest/gtest.h>
 
+#include "exec/executor.hpp"
 #include "fault/fault.hpp"
 #include "measure/reachability.hpp"
 #include "proxy/proxy.hpp"
@@ -23,8 +24,8 @@ using world::World;
   proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 27);
   measure::ReachabilityConfig config;
   config.client_count = 120;
-  config.thread_count = threads;
-  measure::ReachabilityTest test(world, platform, config);
+  exec::WorkerPool pool(threads);
+  measure::ReachabilityTest test(world, platform, config, pool);
   (void)test.run();
   return world.resolver_cache_tally();
 }

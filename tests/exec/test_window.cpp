@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "exec/cancel.hpp"
+#include "exec/executor.hpp"
 #include "exec/window.hpp"
 #include "fault/fault.hpp"
 #include "scan/engine.hpp"
@@ -103,10 +104,10 @@ TEST(CreditWindow, EngineCancelDrainReleasesEveryCreditExactlyOnce) {
     CancelToken cancel;
     scan::EngineConfig config;
     config.seed = 4242;
-    config.thread_count = 1;  // the per-shard cut point is deterministic
     config.cancel = &cancel;
     config.cancel_after_tx = 1000;  // trip mid-shard, ring non-empty
-    scan::ScanEngine engine(world, config);
+    exec::WorkerPool pool(1);  // the per-shard cut point is deterministic
+    scan::ScanEngine engine(world, config, pool);
     return engine.sweep(space, permutation, {world.make_clean_vantage("US")},
                         util::Date{2019, 2, 1});
   };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/executor.hpp"
 #include "measure/local_probe.hpp"
 #include "measure/performance.hpp"
 #include "measure/reachability.hpp"
@@ -48,7 +49,8 @@ struct ReachabilityFixture : ::testing::Test {
       proxy::ProxyNetwork platform(shared_world(), proxy::ProxyConfig{}, 21);
       ReachabilityConfig config;
       config.client_count = 1200;
-      ReachabilityTest test(shared_world(), platform, config);
+      exec::WorkerPool pool;
+      ReachabilityTest test(shared_world(), platform, config, pool);
       return test.run();
     }();
     return results;
@@ -62,7 +64,8 @@ struct ReachabilityFixture : ::testing::Test {
       ReachabilityConfig config;
       config.client_count = 800;
       config.seed = 23;
-      ReachabilityTest test(shared_world(), platform, config);
+      exec::WorkerPool pool;
+      ReachabilityTest test(shared_world(), platform, config, pool);
       return test.run();
     }();
     return results;
@@ -170,8 +173,8 @@ TEST(Reachability, ResultsAreThreadCountInvariant) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 27);
     ReachabilityConfig config;
     config.client_count = 150;
-    config.thread_count = threads;
-    ReachabilityTest test(world, platform, config);
+    exec::WorkerPool pool(threads);
+    ReachabilityTest test(world, platform, config, pool);
     return test.run();
   };
   const auto serial = run_with_threads(1);
@@ -217,8 +220,8 @@ TEST(Performance, ResultsAreThreadCountInvariant) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 33);
     PerformanceConfig config;
     config.client_count = 150;
-    config.thread_count = threads;
-    PerformanceTest test(world, platform, config);
+    exec::WorkerPool pool(threads);
+    PerformanceTest test(world, platform, config, pool);
     return test.run();
   };
   const auto serial = run_with_threads(1);
@@ -245,7 +248,8 @@ TEST(Performance, ReusedConnectionOverheadIsSmall) {
   proxy::ProxyNetwork platform(shared_world(), proxy::ProxyConfig{}, 31);
   PerformanceConfig config;
   config.client_count = 400;
-  PerformanceTest test(shared_world(), platform, config);
+  exec::WorkerPool pool;
+  PerformanceTest test(shared_world(), platform, config, pool);
   const auto results = test.run();
   ASSERT_GT(results.clients.size(), 250u);
   const double dot_median = results.overall(false, true);
@@ -308,8 +312,8 @@ TEST(Reachability, FaultyRunIsThreadCountInvariant) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 27);
     ReachabilityConfig config;
     config.client_count = 150;
-    config.thread_count = threads;
-    ReachabilityTest test(world, platform, config);
+    exec::WorkerPool pool(threads);
+    ReachabilityTest test(world, platform, config, pool);
     return test.run();
   };
   const auto serial = run_with_threads(1);
@@ -358,8 +362,8 @@ TEST(Reachability, FaultyArenaScratchReuseIsThreadCountInvariant) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 27);
     ReachabilityConfig config;
     config.client_count = 1000;
-    config.thread_count = threads;
-    ReachabilityTest test(world, platform, config);
+    exec::WorkerPool pool(threads);
+    ReachabilityTest test(world, platform, config, pool);
     return test.run();
   };
   const auto reference = run_with_threads(1);
@@ -415,8 +419,8 @@ TEST(Performance, FaultyRunIsThreadCountInvariant) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 33);
     PerformanceConfig config;
     config.client_count = 150;
-    config.thread_count = threads;
-    PerformanceTest test(world, platform, config);
+    exec::WorkerPool pool(threads);
+    PerformanceTest test(world, platform, config, pool);
     return test.run();
   };
   const auto serial = run_with_threads(1);
@@ -448,7 +452,8 @@ TEST(Reachability, CanonicalFaultsMoveHeadlineFractionsLessThanOnePoint) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 27);
     ReachabilityConfig config;
     config.client_count = 1200;
-    ReachabilityTest test(world, platform, config);
+    exec::WorkerPool pool;
+    ReachabilityTest test(world, platform, config, pool);
     return test.run();
   };
   const auto clean = run_with_world(world::WorldConfig{});
@@ -497,7 +502,8 @@ TEST(Performance, CanonicalFaultsKeepOverheadsAndDiscardsClose) {
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 33);
     PerformanceConfig config;
     config.client_count = 600;
-    PerformanceTest test(world, platform, config);
+    exec::WorkerPool pool;
+    PerformanceTest test(world, platform, config, pool);
     return test.run();
   };
   const auto clean = run_with_world(world::WorldConfig{});

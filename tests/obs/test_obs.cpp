@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/executor.hpp"
 #include "measure/reachability.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
@@ -267,18 +268,17 @@ TEST(ThreadInvariance, SnapshotJsonByteIdenticalAt1_2_8Threads) {
     // consume per-world rng state), so reuse would conflate "different
     // thread count" with "warmer world". Same seed -> same world.
     world::World world;
+    exec::WorkerPool pool(threads);
 
     scan::CampaignConfig scan_config;
-    scan_config.thread_count = threads;
-    scan::Scanner scanner(world, scan_config);
+    scan::Scanner scanner(world, scan_config, pool);
     const auto snapshot_result = scanner.scan_once(util::Date{2019, 2, 1});
     EXPECT_GT(snapshot_result.addresses_probed, 0u);
 
     proxy::ProxyNetwork platform(world, proxy::ProxyConfig{}, 21);
     measure::ReachabilityConfig reach_config;
     reach_config.client_count = 400;
-    reach_config.thread_count = threads;
-    measure::ReachabilityTest reachability(world, platform, reach_config);
+    measure::ReachabilityTest reachability(world, platform, reach_config, pool);
     const auto results = reachability.run();
     EXPECT_GT(results.clients, 0u);
 

@@ -27,6 +27,7 @@
 
 #include "core/report.hpp"
 #include "core/study.hpp"
+#include "exec/executor.hpp"
 #include "traffic/trend_study.hpp"
 #include "util/stats.hpp"
 
@@ -84,11 +85,13 @@ TEST(SoakTable2, EveryScanInTheCampaignFindsProviders) {
 
 TEST(SoakTable2, FullCampaignRunsThroughTheStatelessEngine) {
   ENCDNS_REQUIRE_SOAK();
-  // The 10-sweep, ~4.65M-probe-per-sweep campaign is gated through the
-  // stateless engine by default — this pins the default so a config drift
-  // back to the legacy sweep cannot pass silently.
-  ASSERT_EQ(full_study().config().campaign.sweep_mode,
-            scan::SweepMode::kStateless);
+  // The 10-sweep, ~4.5M-probe-per-sweep campaign. Its first sweep is the
+  // committed fault-free baseline (the scan_sweep entry of
+  // BENCH_throughput.json, pinned on a bare Scanner by
+  // ScanEngine.FaultFreeSweepMatchesCommittedBaseline).
+  ASSERT_FALSE(full_study().scans().empty());
+  EXPECT_EQ(full_study().scans().front().addresses_probed, 4521984u);
+  EXPECT_EQ(full_study().scans().front().port_open, 46034u);
   for (const auto& snapshot : full_study().scans()) {
     // Full-scale fault-free sweeps: every address probed, nothing rejected.
     EXPECT_GT(snapshot.addresses_probed, 4500000u);
@@ -206,7 +209,8 @@ TEST(SoakTrend, DayRetirementKeepsResidentMemoryFlat) {
   // not grow the resident set by more than a fixed staging allowance.
   const std::uint64_t before = resident_bytes();
   traffic::TrendStudyConfig config;  // defaults: scale=1, four-year horizon
-  const auto results = traffic::TrendStudy(config).run();
+  exec::WorkerPool pool;
+  const auto results = traffic::TrendStudy(config, pool).run();
   const std::uint64_t after = resident_bytes();
   ASSERT_GE(results.total_records, 100u * 53591u);
   EXPECT_LT(results.peak_tracked_bytes, 64ull << 20);
@@ -224,7 +228,8 @@ TEST(SoakTrend, SketchTracksExactClientsAtValidationScale) {
   traffic::TrendStudyConfig config;
   config.scale = 0.1;
   config.validate_exact = true;
-  const auto results = traffic::TrendStudy(config).run();
+  exec::WorkerPool pool;
+  const auto results = traffic::TrendStudy(config, pool).run();
   const double sigma =
       traffic::Hll(config.hll_precision).relative_error_bound();
   for (const auto& provider : results.providers) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "exec/executor.hpp"
 #include "traffic/backbone.hpp"
 #include "traffic/netflow.hpp"
 #include "traffic/netflow_study.hpp"
@@ -150,7 +151,8 @@ struct NetflowStudyFixture : ::testing::Test {
       NetflowStudyConfig config;
       config.backbone.tail_blocks = 1500;  // keep the test quick
       config.backbone.medium_blocks = 80;
-      NetflowStudy study(config, big_resolver_address_list());
+      exec::WorkerPool pool;
+      NetflowStudy study(config, big_resolver_address_list(), pool);
       return study.run();
     }();
     return value;
@@ -205,8 +207,8 @@ TEST(NetflowStudy, ResultsAreThreadCountInvariant) {
     NetflowStudyConfig config;
     config.backbone.tail_blocks = 300;  // keep the test quick
     config.backbone.medium_blocks = 30;
-    config.thread_count = threads;
-    NetflowStudy study(config, big_resolver_address_list());
+    exec::WorkerPool pool(threads);
+    NetflowStudy study(config, big_resolver_address_list(), pool);
     return study.run();
   };
   const auto serial = run_with_threads(1);

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/executor.hpp"
 #include "traffic/codec.hpp"
 #include "traffic/flow_batch.hpp"
 #include "traffic/hll.hpp"
@@ -57,7 +58,8 @@ TrendStudyResults sample_trend_results() {
   config.scale = 0.01;
   config.validate_exact = true;
   config.sample_rows = 8;
-  return TrendStudy(config).run();
+  exec::WorkerPool pool;
+  return TrendStudy(config, pool).run();
 }
 
 template <typename T>
@@ -186,7 +188,8 @@ TEST(TrafficCodec, TrendResultsFailClosedOnAnyCorruption) {
   config.seed = 5;
   config.scale = 0.005;
   config.sample_rows = 4;
-  const TrendStudyResults results = TrendStudy(config).run();
+  exec::WorkerPool pool;
+  const TrendStudyResults results = TrendStudy(config, pool).run();
   expect_fail_closed(
       encode_bytes<TrendStudyResults>(&encode_trend_results, results),
       [](ByteReader& r) { return decode_trend_results(r); });

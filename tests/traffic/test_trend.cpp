@@ -14,6 +14,7 @@
 
 #include "exec/cancel.hpp"
 #include "exec/checkpoint_hook.hpp"
+#include "exec/executor.hpp"
 #include "traffic/codec.hpp"
 #include "traffic/trend_study.hpp"
 #include "util/bytes.hpp"
@@ -48,7 +49,8 @@ TrendProvider flat_provider() {
 }
 
 TEST(TrendStudy, RateIsZeroBeforeLaunchAndPositiveAfter) {
-  const TrendStudy study(quick_config());
+  exec::WorkerPool pool;
+  const TrendStudy study(quick_config(), pool);
   for (const auto& provider : study.providers()) {
     EXPECT_EQ(study.daily_rate(provider, provider.launch.plus_days(-1)), 0.0)
         << provider.name;
@@ -61,6 +63,7 @@ TEST(TrendStudy, EventMultiplierScalesTheRateExactly) {
   // Same provider, same seed, same day: the day-noise factor is a pure
   // function of (seed, provider, day), so the rate ratio between a config
   // with a x0.45 window and one with a x1.0 marker is exactly 0.45.
+  exec::WorkerPool pool;
   const util::Date day{2019, 6, 15};
   AdoptionEvent window;
   window.kind = AdoptionEvent::Kind::kCensorship;
@@ -75,8 +78,8 @@ TEST(TrendStudy, EventMultiplierScalesTheRateExactly) {
   TrendStudyConfig control = treated;
   control.events[0].multiplier = 1.0;
 
-  const TrendStudy treated_study(treated);
-  const TrendStudy control_study(control);
+  const TrendStudy treated_study(treated, pool);
+  const TrendStudy control_study(control, pool);
   const double treated_rate =
       treated_study.daily_rate(treated_study.providers()[0], day);
   const double control_rate =
@@ -90,6 +93,7 @@ TEST(TrendStudy, EventMultiplierScalesTheRateExactly) {
 }
 
 TEST(TrendStudy, EventWithProviderAppliesOnlyToThatProvider) {
+  exec::WorkerPool pool;
   TrendProvider other = flat_provider();
   other.name = "other";
   other.resolver = util::Ipv4{192, 0, 2, 2};
@@ -106,7 +110,7 @@ TEST(TrendStudy, EventWithProviderAppliesOnlyToThatProvider) {
   TrendStudyConfig baseline = config;
   baseline.events[0].multiplier = 1.0;
 
-  const TrendStudy with(config), without(baseline);
+  const TrendStudy with(config, pool), without(baseline, pool);
   const util::Date day{2019, 9, 1};
   EXPECT_DOUBLE_EQ(with.daily_rate(with.providers()[0], day),
                    2.0 * without.daily_rate(without.providers()[0], day));
@@ -115,7 +119,8 @@ TEST(TrendStudy, EventWithProviderAppliesOnlyToThatProvider) {
 }
 
 TEST(TrendStudy, MonthlySeriesShowsLaunchGrowthDipAndFlip) {
-  TrendStudyResults results = TrendStudy(quick_config()).run();
+  exec::WorkerPool pool;
+  TrendStudyResults results = TrendStudy(quick_config(), pool).run();
   ASSERT_EQ(results.days_processed, results.days_planned);
 
   const TrendProviderSeries* cloudflare = results.provider("cloudflare");
@@ -147,9 +152,10 @@ TEST(TrendStudy, MonthlySeriesShowsLaunchGrowthDipAndFlip) {
 }
 
 TEST(TrendStudy, HllTracksExactClientCountsAtValidationScale) {
+  exec::WorkerPool pool;
   TrendStudyConfig config = quick_config();
   config.validate_exact = true;
-  TrendStudyResults results = TrendStudy(config).run();
+  TrendStudyResults results = TrendStudy(config, pool).run();
   for (const auto& provider : results.providers) {
     ASSERT_GT(provider.clients_exact, 0u) << provider.name;
     const double rel_error =
@@ -167,9 +173,8 @@ TEST(TrendStudy, NetflowThreadCountInvariance) {
   std::optional<std::vector<std::uint8_t>> reference;
   for (const char* threads : {"1", "2", "8"}) {
     setenv("ENCDNS_THREADS", threads, 1);
-    TrendStudyConfig config = quick_config();
-    config.thread_count = 0;  // resolve through the env knob
-    const auto bytes = result_bytes(TrendStudy(config).run());
+    exec::WorkerPool pool;  // sized through the env knob
+    const auto bytes = result_bytes(TrendStudy(quick_config(), pool).run());
     if (!reference) {
       reference = bytes;
     } else {
@@ -180,11 +185,12 @@ TEST(TrendStudy, NetflowThreadCountInvariance) {
 }
 
 TEST(TrendStudy, PreTrippedCancelProcessesNothing) {
+  exec::WorkerPool pool;
   exec::CancelToken cancel;
   cancel.cancel("test");
   TrendStudyConfig config = quick_config();
   config.cancel = &cancel;
-  TrendStudyResults results = TrendStudy(config).run();
+  TrendStudyResults results = TrendStudy(config, pool).run();
   EXPECT_EQ(results.days_processed, 0u);
   EXPECT_EQ(results.total_records, 0u);
   EXPECT_GT(results.days_planned, 0u);
@@ -202,13 +208,15 @@ class MemoryHook : public exec::CheckpointHook {
 };
 
 TEST(TrendStudy, ResumeFromGroupCheckpointMatchesUninterruptedRun) {
-  const auto uninterrupted = result_bytes(TrendStudy(quick_config()).run());
+  exec::WorkerPool pool;
+  const auto uninterrupted =
+      result_bytes(TrendStudy(quick_config(), pool).run());
 
   // First run: save at every group boundary (3 saves for 4 groups).
   MemoryHook hook;
   TrendStudyConfig first = quick_config();
   first.checkpoint = &hook;
-  const auto with_hook = result_bytes(TrendStudy(first).run());
+  const auto with_hook = result_bytes(TrendStudy(first, pool).run());
   EXPECT_EQ(with_hook, uninterrupted);
   EXPECT_EQ(hook.saves_, 3);
   ASSERT_TRUE(hook.state_.has_value());
@@ -219,32 +227,34 @@ TEST(TrendStudy, ResumeFromGroupCheckpointMatchesUninterruptedRun) {
   resume.state_ = hook.state_;
   TrendStudyConfig second = quick_config();
   second.checkpoint = &resume;
-  EXPECT_EQ(result_bytes(TrendStudy(second).run()), uninterrupted);
+  EXPECT_EQ(result_bytes(TrendStudy(second, pool).run()), uninterrupted);
 }
 
 TEST(TrendStudy, CorruptCheckpointFailsClosed) {
+  exec::WorkerPool pool;
   MemoryHook hook;
   TrendStudyConfig first = quick_config();
   first.checkpoint = &hook;
-  (void)TrendStudy(first).run();
+  (void)TrendStudy(first, pool).run();
   ASSERT_TRUE(hook.state_.has_value());
   (*hook.state_)[hook.state_->size() / 2] ^= 0xFF;
   MemoryHook corrupted;
   corrupted.state_ = hook.state_;
   TrendStudyConfig second = quick_config();
   second.checkpoint = &corrupted;
-  EXPECT_THROW((void)TrendStudy(second).run(), util::CodecError);
+  EXPECT_THROW((void)TrendStudy(second, pool).run(), util::CodecError);
 }
 
 TEST(TrendStudy, PeakTrackedBytesStaysFlatAsScaleGrows) {
+  exec::WorkerPool pool;
   // Day retirement bounds live state by the staging batch plus the month
   // tables: quadrupling the flow volume must not move the high-water mark
   // by more than the sketch/accumulator slack.
   TrendStudyConfig small = quick_config();
   TrendStudyConfig large = quick_config();
   large.scale = 4 * small.scale;
-  const auto small_peak = TrendStudy(small).run().peak_tracked_bytes;
-  const auto large_run = TrendStudy(large).run();
+  const auto small_peak = TrendStudy(small, pool).run().peak_tracked_bytes;
+  const auto large_run = TrendStudy(large, pool).run();
   ASSERT_GT(large_run.total_records, 0u);
   EXPECT_GT(small_peak, 0u);
   EXPECT_LE(large_run.peak_tracked_bytes, small_peak + small_peak / 2)
